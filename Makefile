@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json bench bench-smoke fuzz fuzz-smoke
+.PHONY: test lint lint-json bench bench-smoke bench-session-smoke fuzz fuzz-smoke
 
 ## tier-1 suite (unit + integration under tests/)
 test:
@@ -44,6 +44,12 @@ bench-smoke:
 		benchmarks/test_bench_compact.py \
 		benchmarks/test_bench_columnar.py \
 		benchmarks/test_bench_cow.py -q
+
+## designer-session benchmark self-tests (~20s, quick sizes): every
+## entry point the --trace probes wrap must still resolve by name and
+## signature, so a renamed parser or decompose function fails here
+bench-session-smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/session -q
 
 ## differential fuzzing soak: every invariant over catalog + generated
 ## schemas plus the large-schema profile (1k-10k types, deep ISA chains,

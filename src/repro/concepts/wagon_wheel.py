@@ -88,10 +88,11 @@ def extract_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
     supertype_rim = tuple(s for s in interface.supertypes if s in schema)
     subtype_rim = tuple(schema.subtypes(focal))
     members = {focal}
-    members.update(spoke.target_type for spoke in spokes)
+    members.update(
+        spoke.target_type for spoke in spokes if spoke.target_type in schema
+    )
     members.update(supertype_rim)
     members.update(subtype_rim)
-    members &= set(schema.type_names())
     # The wheel shares the live interface copy-on-write: a snapshot
     # claim swaps in a private copy the moment the schema mutates the
     # focal type, so extracting all N wheels costs no interface copies.
@@ -157,10 +158,11 @@ def extract_wagon_wheel_view(
         if spoke_paths is None or spoke.path_name in spoke_paths
     )
     members = {focal}
-    members.update(spoke.target_type for spoke in spokes)
+    members.update(
+        spoke.target_type for spoke in spokes if spoke.target_type in schema
+    )
     members.update(full.supertype_rim)
     members.update(full.subtype_rim)
-    members &= set(schema.type_names())
     return WagonWheel(
         anchor=focal,
         members=frozenset(members),

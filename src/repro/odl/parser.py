@@ -44,12 +44,17 @@ from repro.model.types import (
     ScalarType,
     TypeRef,
 )
-from repro.odl.lexer import IDENT, TokenStream
+from repro.odl.lexer import IDENT, OdlSyntaxError, TokenStream
 
 _RELATIONSHIP_KEYWORDS = {
     "part_of": RelationshipKind.PART_OF,
     "instance_of": RelationshipKind.INSTANCE_OF,
 }
+
+#: Deepest collection nesting a type may have (``set<list<...>>``).  The
+#: type grammar is parsed recursively; the bound turns hostile input into
+#: an :class:`OdlSyntaxError` well below the interpreter's recursion limit.
+MAX_TYPE_NESTING = 64
 
 
 def parse_schema(text: str, name: str = "schema") -> Schema:
@@ -216,12 +221,18 @@ def parse_type_from(stream: TokenStream) -> TypeRef:
     return _parse_type(stream)
 
 
-def _parse_type(stream: TokenStream) -> TypeRef:
+def _parse_type(stream: TokenStream, depth: int = 0) -> TypeRef:
     token = stream.expect_ident()
     word = token.value
     if word in COLLECTION_KINDS:
+        if depth == MAX_TYPE_NESTING:
+            raise OdlSyntaxError(
+                f"collection types nested deeper than {MAX_TYPE_NESTING} "
+                f"levels",
+                token.line, token.column,
+            )
         stream.expect_punct("<")
-        element = _parse_type(stream)
+        element = _parse_type(stream, depth + 1)
         size = None
         if stream.accept_punct(","):
             size = stream.expect_number()

@@ -9,6 +9,7 @@ from repro.repository.localnames import LocalNameMap, apply_local_names
 from repro.repository.mapping import SchemaMapping, generate_mapping
 from repro.repository.persistence import (
     FORMAT_VERSION,
+    RepositoryFormatError,
     load_repository,
     repository_from_dict,
     repository_to_dict,
@@ -21,6 +22,7 @@ __all__ = [
     "FORMAT_VERSION",
     "LocalNameMap",
     "LogEntry",
+    "RepositoryFormatError",
     "SchemaMapping",
     "SchemaRepository",
     "Workspace",

@@ -22,6 +22,76 @@ from repro.repository.repository import SchemaRepository
 FORMAT_VERSION = 1
 
 
+class RepositoryFormatError(SchemaError):
+    """A saved repository is not in the format :func:`save_repository` writes.
+
+    Covers unreadable files (truncated or non-UTF-8 JSON), a wrong
+    top-level shape, missing or mistyped fields, and a format-version
+    mismatch.  Text that is well-formed JSON but holds bad ODL or a
+    script that no longer applies raises the front end's and the
+    operations' own errors instead.
+    """
+
+
+_NONE = type(None)
+#: Field -> accepted JSON type(s), per record kind.
+_REPOSITORY_FIELDS = {
+    "shrink_wrap_odl": str,
+    "shrink_wrap_name": str,
+    "custom_name": str,
+    "operations": list,
+    "local_names": dict,
+    "views": list,
+}
+_OPERATION_FIELDS = {"text": str, "concept_id": (str, _NONE), "propagated": bool}
+_VIEW_FIELDS = {
+    "position": int,
+    "focal": str,
+    "view_name": str,
+    "spoke_paths": (list, _NONE),
+    "attribute_names": (list, _NONE),
+}
+#: Fields a record may omit (older files, hand-written ones).
+_OPTIONAL = frozenset(
+    {"local_names", "views", "concept_id", "propagated", "spoke_paths",
+     "attribute_names"}
+)
+
+
+def _check_record(record: object, fields: dict, where: str) -> None:
+    if not isinstance(record, dict):
+        raise RepositoryFormatError(
+            f"{where} is a JSON {type(record).__name__}, not an object"
+        )
+    for key, kind in fields.items():
+        if key not in record:
+            if key in _OPTIONAL:
+                continue
+            raise RepositoryFormatError(f"{where} has no {key!r} field")
+        if not isinstance(record[key], kind):
+            raise RepositoryFormatError(
+                f"{where} field {key!r} holds a "
+                f"{type(record[key]).__name__}"
+            )
+
+
+def _check_names(names: object, where: str) -> None:
+    if names is not None and not all(isinstance(n, str) for n in names):
+        raise RepositoryFormatError(f"{where} holds a non-string name")
+
+
+def _check_shape(data: dict) -> None:
+    """Raise :class:`RepositoryFormatError` unless *data* has the saved shape."""
+    _check_record(data, _REPOSITORY_FIELDS, "repository")
+    for record in data["operations"]:
+        _check_record(record, _OPERATION_FIELDS, "operation record")
+    for record in data.get("views", []):
+        _check_record(record, _VIEW_FIELDS, "view record")
+        _check_names(record.get("spoke_paths"), "view spoke_paths")
+        _check_names(record.get("attribute_names"), "view attribute_names")
+    _check_names(data.get("local_names", {}).values(), "local_names")
+
+
 def repository_to_dict(repository: SchemaRepository) -> dict:
     """Serialise a repository to a JSON-ready dictionary."""
     return {
@@ -47,14 +117,20 @@ def repository_from_dict(data: dict) -> SchemaRepository:
 
     The customization script is re-applied step by step; a script that
     no longer applies (hand-edited file, incompatible library change)
-    raises through the normal operation errors.
+    raises through the normal operation errors.  Data not in the saved
+    shape raises :class:`RepositoryFormatError`.
     """
+    if not isinstance(data, dict):
+        raise RepositoryFormatError(
+            f"a repository is a JSON object, not a {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version != FORMAT_VERSION:
-        raise SchemaError(
+        raise RepositoryFormatError(
             f"unsupported repository format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    _check_shape(data)
     repository = SchemaRepository.from_odl(
         data["shrink_wrap_odl"],
         name=data["shrink_wrap_name"],
@@ -106,5 +182,12 @@ def save_repository(repository: SchemaRepository, path: str | Path) -> None:
 
 def load_repository(path: str | Path) -> SchemaRepository:
     """Read a repository previously written by :func:`save_repository`."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad JSON and bad UTF-8; RecursionError is
+        # JSON nested past the decoder's depth.
+        raise RepositoryFormatError(
+            f"{path}: not a repository file ({error})"
+        ) from error
     return repository_from_dict(data)

@@ -7,6 +7,8 @@ from repro.concepts.base import ConceptKind
 from repro.concepts.decompose import decompose, reconstruct
 from repro.model.errors import SchemaError
 from repro.model.fingerprint import schemas_equal
+from repro.model.schema import Schema
+from repro.workload.generator import WorkloadSpec, generate_schema
 
 
 class TestDecompose:
@@ -70,3 +72,35 @@ class TestReconstruct:
 
     def test_reconstruct_valid(self, university):
         reconstruct(decompose(university)).validate()
+
+
+class TestDecomposeIsLinear:
+    """Whole-schema walks during ``decompose`` must not grow with N.
+
+    One wheel per type is inherent; a walk over every type name per
+    wheel (the old ``set(schema.type_names())`` intersection) makes the
+    decomposition quadratic.  Counting the walks guards that without a
+    timing assertion.
+    """
+
+    @staticmethod
+    def _walks(monkeypatch, types: int) -> int:
+        schema = generate_schema(WorkloadSpec(types=types, seed=3))
+        calls = []
+        for method in ("type_names", "__iter__"):
+            original = getattr(Schema, method)
+
+            def counting(self, _original=original):
+                calls.append(1)
+                return _original(self)
+
+            monkeypatch.setattr(Schema, method, counting)
+        decompose(schema)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_walk_count_independent_of_size(self, monkeypatch):
+        small = self._walks(monkeypatch, 200)
+        large = self._walks(monkeypatch, 400)
+        assert small == large
+        assert small < 50

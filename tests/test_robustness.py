@@ -8,6 +8,7 @@ from repro.model.errors import ReproError, SchemaError
 from repro.odl.lexer import OdlSyntaxError
 from repro.ops.language import parse_operation
 from repro.repository.persistence import (
+    RepositoryFormatError,
     load_repository,
     repository_from_dict,
     repository_to_dict,
@@ -29,8 +30,59 @@ class TestCorruptedRepositoryFiles:
     def test_truncated_json(self, saved, tmp_path):
         _, path = saved
         path.write_text(path.read_text()[:40], encoding="utf-8")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(RepositoryFormatError) as info:
             load_repository(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_not_utf8(self, saved):
+        _, path = saved
+        path.write_bytes(b'{"format_version": 1, "x": "\xff"}')
+        with pytest.raises(RepositoryFormatError):
+            load_repository(path)
+
+    def test_missing_shrink_wrap_odl(self, saved):
+        _, path = saved
+        data = json.loads(path.read_text())
+        del data["shrink_wrap_odl"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(RepositoryFormatError, match="shrink_wrap_odl"):
+            load_repository(path)
+
+    def test_top_level_list(self, saved):
+        _, path = saved
+        path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
+        with pytest.raises(RepositoryFormatError, match="JSON object"):
+            load_repository(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.update(operations={"text": "x"}),
+            lambda data: data["operations"].append("add_type_definition(X)"),
+            lambda data: data["operations"][0].update(text=7),
+            lambda data: data["operations"][0].pop("text"),
+            lambda data: data.update(views=[{"focal": "Person"}]),
+            lambda data: data.update(local_names={"Person": 3}),
+            lambda data: data.update(shrink_wrap_name=None),
+        ],
+        ids=[
+            "operations-object", "operation-string", "text-number",
+            "text-missing", "view-incomplete", "alias-number", "name-null",
+        ],
+    )
+    def test_mistyped_fields(self, saved, corrupt):
+        repository, _ = saved
+        data = repository_to_dict(repository)
+        corrupt(data)
+        with pytest.raises(RepositoryFormatError):
+            repository_from_dict(data)
+
+    def test_version_mismatch_is_a_schema_error(self, saved):
+        repository, _ = saved
+        data = repository_to_dict(repository)
+        data["format_version"] = 2
+        with pytest.raises(SchemaError, match="format version"):
+            repository_from_dict(data)
 
     def test_corrupted_odl(self, saved):
         repository, path = saved
