@@ -100,12 +100,12 @@ class _Builder:
         available = schema.inherited_attributes(type_name)
         needed: list[str] = []
         for interface in (type_name, *sorted(schema.ancestors(type_name))):
-            for key in schema.get(interface).keys:
+            for key in schema.interfaces[interface].keys:
                 for attr in key:
                     owner = available.get(attr)
                     if owner is None:
                         return None  # structurally broken key; unfillable
-                    domain = schema.get(owner).attributes[attr].type
+                    domain = schema.interfaces[owner].attributes[attr].type
                     if not isinstance(domain, ScalarType):
                         return None
                     if domain.name == "void":
@@ -128,7 +128,8 @@ class _Builder:
         available = self.schema.inherited_attributes(type_name)
         values: dict[str, object] = {}
         for attr in needed:
-            domain = self.schema.get(available[attr]).attributes[attr].type
+            owner = available[attr]
+            domain = self.schema.interfaces[owner].attributes[attr].type
             values[attr] = self.scalar_value(domain)
         if presets:
             for attr, value in presets.items():
@@ -148,7 +149,7 @@ class _Builder:
             owner = available.get(attr)
             if owner is None:
                 return False
-            domain = self.schema.get(owner).attributes[attr].type
+            domain = self.schema.interfaces[owner].attributes[attr].type
             if not isinstance(domain, ScalarType):
                 return False
             obj.attributes[attr] = self.scalar_value(domain)

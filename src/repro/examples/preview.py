@@ -3,8 +3,8 @@
 ``Workspace.preview(plan)`` delegates here.  The plan is applied to a
 throw-away fork of the workspace, significant examples are generated on
 both sides for the interfaces the plan's instance-impact facet names,
-and the two example sets are diffed through
-:func:`repro.instances.check.check_population`:
+and each side's examples are cross-checked against the other side
+through :func:`repro.instances.check.check_population`:
 
 * a *before* witness the *after* schema rejects -- and an *after*
   near-miss the *before* schema admitted -- is data the plan **newly
@@ -17,7 +17,10 @@ Findings surface as ordinary :mod:`repro.knowledge.feedback` messages
 (cautions for forbidden data, infos for admitted data), so the designer
 CLI and the session feedback log render them like any other caution.
 The workspace itself is never mutated; a plan that fails pre-flight or
-application reports that as error-level feedback instead.
+application reports that as error-level feedback instead.  Examples are
+generated and checked a fixed-size chunk of interfaces at a time and
+only the findings are kept, so a whole-schema preview holds one chunk
+of pairs, not both sides' complete example lists.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.examples.generator import ExamplePair, significant_examples
+from repro.examples.generator import CONSTRAINT_KINDS, significant_examples
 from repro.instances.check import check_population
 from repro.instances.population import Population, PopulationIssue
 from repro.knowledge.feedback import Feedback, caution, error, info
@@ -34,10 +37,15 @@ from repro.ops.base import OperationError, SchemaOperation
 from repro.ops.effects import WILDCARD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.model.schema import Schema
     from repro.repository.workspace import Workspace
 
 #: Cap per finding family; the rest is summarized in one info message.
 _MAX_FINDINGS = 8
+
+#: Impacted interfaces per ``significant_examples`` call: the preview
+#: holds one chunk's example pairs at a time, never a whole side's.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -77,31 +85,41 @@ def plan_instance_impact(plan: list[SchemaOperation]) -> frozenset[str]:
     return frozenset(impacted)
 
 
-def _flips(
-    pairs: list[ExamplePair],
-    other_schema,
-    *,
-    witnesses_failing: bool,
-) -> list[PreviewFinding]:
-    """Pairs whose admission verdict flips on *other_schema*.
+def _cross_check(
+    side: "Schema", other: "Schema", impacted: frozenset[str]
+) -> tuple[list[PreviewFinding], list[PreviewFinding]]:
+    """*side*'s example pairs whose verdict flips on *other*.
 
-    ``witnesses_failing=True`` selects witnesses the other side rejects;
-    ``False`` selects near-misses the other side admits.
+    Returns the witnesses *other* rejects and the near-misses *other*
+    admits, in ``significant_examples`` order (constraint kind, then
+    declaration order).  The impacted interfaces are walked in
+    declaration order one chunk at a time and each chunk's pairs are
+    dropped once checked, so memory is one chunk plus the findings.
     """
-    findings: list[PreviewFinding] = []
-    for pair in pairs:
-        if witnesses_failing:
-            issues = check_population(other_schema, pair.witness)
+    names = [name for name in side.interfaces if name in impacted]
+    rejected: list[PreviewFinding] = []
+    admitted: list[PreviewFinding] = []
+    for start in range(0, len(names), _CHUNK):
+        chunk = names[start:start + _CHUNK]
+        for pair in significant_examples(side, interfaces=chunk):
+            issues = check_population(other, pair.witness)
             if issues:
-                findings.append(PreviewFinding(
+                rejected.append(PreviewFinding(
                     pair.subject, pair.kind, pair.witness, tuple(issues)
                 ))
-        else:
-            if not check_population(other_schema, pair.near_miss):
-                findings.append(PreviewFinding(
+            if not check_population(other, pair.near_miss):
+                admitted.append(PreviewFinding(
                     pair.subject, pair.kind, pair.near_miss, ()
                 ))
-    return findings
+    # Chunks follow declaration order, so a stable sort by kind
+    # restores the order one whole-side call would have produced.
+    rejected.sort(key=_kind_rank)
+    admitted.sort(key=_kind_rank)
+    return rejected, admitted
+
+
+def _kind_rank(finding: PreviewFinding) -> int:
+    return CONSTRAINT_KINDS.index(finding.kind)
 
 
 def _emit(
@@ -162,16 +180,10 @@ def preview_plan(
             "the plan does not change which populations the schema admits",
         ))
         return preview
-    before_pairs = significant_examples(
-        before, interfaces=impacted & set(before.type_names())
-    )
-    after_pairs = significant_examples(
-        after, interfaces=impacted & set(after.type_names())
-    )
-    forbidden = _flips(before_pairs, after, witnesses_failing=True)
-    forbidden += _flips(after_pairs, before, witnesses_failing=False)
-    admitted = _flips(after_pairs, before, witnesses_failing=True)
-    admitted += _flips(before_pairs, after, witnesses_failing=False)
+    before_rejected, before_admitted = _cross_check(before, after, impacted)
+    after_rejected, after_admitted = _cross_check(after, before, impacted)
+    forbidden = before_rejected + after_admitted
+    admitted = after_rejected + before_admitted
     preview.newly_forbidden = forbidden
     preview.newly_admitted = admitted
     _emit(preview, forbidden, "forbids-examples", caution, "newly forbids")

@@ -75,7 +75,7 @@ def available_relationships(
     """
     result: dict[str, tuple[str, RelationshipEnd]] = {}
     for owner in schema._linearised_ancestry(type_name):
-        for path, end in schema.get(owner).relationships.items():
+        for path, end in schema.interfaces[owner].relationships.items():
             result.setdefault(path, (owner, end))
     return result
 
@@ -174,7 +174,7 @@ def _attribute_issues(
                 f"type {obj.type_name} has no attribute {attr_name!r}",
             ))
             continue
-        domain = schema.get(owner).attributes[attr_name].type
+        domain = schema.interfaces[owner].attributes[attr_name].type
         issues.extend(
             _value_issues(schema, pop, obj, attr_name, domain, value)
         )
@@ -299,7 +299,7 @@ def _key_issues(
     """Key totality and uniqueness over each interface's extent."""
     issues: list[PopulationIssue] = []
     for interface_name, extent in members.items():
-        interface = schema.get(interface_name)
+        interface = schema.interfaces[interface_name]
         for key in interface.keys:
             seen: dict[object, str] = {}
             for obj in extent:

@@ -298,20 +298,28 @@ class Schema:
         or a shared projection member) is materialised on fetch -- the
         caller may mutate the result, and the mutation must land in
         *this* schema, not the share's owner.  Owned interfaces return
-        in O(1); bulk read paths that never hand the object out
-        (iteration, the index, validation) use ``interfaces`` directly
-        and keep the share.  :meth:`edit` is the explicit-intent alias
-        mutating code uses.
+        in O(1).  Read paths that never hand the object out read
+        ``interfaces`` directly and keep the share: iteration, the
+        index, validation, the hierarchy queries below, the population
+        checker and the example generator
+        (``TestReadOnlyLayersKeepSharing`` in ``tests/test_cow_schema.py``
+        guards them).  The ops layer still fetches through ``get``.
+        :meth:`edit` is the explicit-intent alias mutating code uses.
         """
+        interface = self._lookup(name)
+        if self._log in interface._spines:
+            return interface
+        return self._materialise(name, interface)
+
+    def _lookup(self, name: str) -> InterfaceDef:
+        """``interfaces[name]`` as is, borrowed or not; raises
+        ``UnknownTypeError`` like :meth:`get` for an undefined name."""
         try:
-            interface = self.interfaces[name]
+            return self.interfaces[name]
         except KeyError:
             raise UnknownTypeError(
                 f"schema {self.name!r} does not define {name!r}"
             ) from None
-        if self._log in interface._spines:
-            return interface
-        return self._materialise(name, interface)
 
     def _materialise(self, name: str, interface: InterfaceDef) -> InterfaceDef:
         """Privatise a borrowed *interface* under *name* (the CoW fault).
@@ -332,8 +340,8 @@ class Schema:
         Since :meth:`get` already materialises borrowed shares on fetch,
         ``edit`` adds nothing today; mutating code calls it anyway to
         mark the fetch as a write, which keeps the CoW fault sites
-        greppable and lets the two paths diverge again if reads ever
-        stop materialising.
+        greppable.  Read-only code uses ``interfaces`` (or the hierarchy
+        queries) instead, so a fork stays shared.
         """
         return self.get(name)
 
@@ -370,7 +378,7 @@ class Schema:
         result: set[str] = set()
         frontier = [
             supertype
-            for supertype in self.get(name).supertypes
+            for supertype in self._lookup(name).supertypes
             if supertype in interfaces
         ]
         while frontier:
@@ -392,7 +400,7 @@ class Schema:
         adjacency (O(result) per query, no per-mutation rebuild); the
         ``index-vs-scan`` differential pins it to ``scan_descendants``.
         """
-        self.get(name)  # raise for unknown types
+        self._lookup(name)  # raise for unknown types
         return self._index.descendants_of(name)
 
     def isa_related(self, first: str, second: str) -> bool:
@@ -429,8 +437,9 @@ class Schema:
         left-to-right linearisation ODL implies.
         """
         result: dict[str, str] = {}
+        interfaces = self.interfaces
         for owner in self._linearised_ancestry(name):
-            for attr_name in self.get(owner).attributes:
+            for attr_name in interfaces[owner].attributes:
                 result.setdefault(attr_name, owner)
         return result
 

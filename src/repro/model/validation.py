@@ -222,7 +222,7 @@ def inverse_issues(schema: Schema, interface: InterfaceDef) -> Iterator[Issue]:
     for end in interface.relationships.values():
         if end.inverse_type not in schema:
             continue  # reported by check_dangling_types
-        other = schema.get(end.inverse_type)
+        other = schema.interfaces[end.inverse_type]
         inverse = other.relationships.get(end.inverse_name)
         location = f"{owner}.{end.name}"
         if inverse is None:
@@ -292,7 +292,7 @@ def order_by_issues(schema: Schema, interface: InterfaceDef) -> Iterator[Issue]:
     for end in interface.relationships.values():
         if not end.order_by or end.target_type not in schema:
             continue
-        target = schema.get(end.target_type)
+        target = schema.interfaces[end.target_type]
         available = set(target.attributes)
         available.update(schema.inherited_attributes(target.name))
         for attr_name in end.order_by:
@@ -492,7 +492,9 @@ def component_roots(schema: Schema, component: set[str]) -> list[str]:
     return sorted(
         name
         for name in component
-        if not [s for s in schema.get(name).supertypes if s in schema]
+        if not [
+            s for s in schema.interfaces[name].supertypes if s in schema
+        ]
     )
 
 

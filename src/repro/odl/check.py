@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         path = Path(path_text)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: cannot read: {exc}")
             all_ok = False
             continue

@@ -11,6 +11,8 @@ same artifacts a designer reads are the persistence format.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 from repro.model.errors import SchemaError
@@ -175,9 +177,32 @@ def repository_from_dict(data: dict) -> SchemaRepository:
 
 
 def save_repository(repository: SchemaRepository, path: str | Path) -> None:
-    """Write the repository to *path* as JSON."""
-    payload = json.dumps(repository_to_dict(repository), indent=2)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    """Write the repository to *path* as JSON, atomically.
+
+    The JSON goes to a temporary file in the same directory, which is
+    flushed and fsynced and then renamed over *path* with
+    ``os.replace``: a crash or an error at any point leaves either the
+    previous file or the complete new one, never a torn mix.  The
+    temporary file is removed if any step fails.  An existing file's
+    permission bits carry over to its replacement.
+    """
+    payload = json.dumps(repository_to_dict(repository), indent=2) + "\n"
+    target = Path(path)
+    try:
+        mode = stat.S_IMODE(target.stat().st_mode)
+    except FileNotFoundError:
+        mode = 0o666  # what a fresh open() creates, before the umask
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_repository(path: str | Path) -> SchemaRepository:

@@ -555,8 +555,10 @@ class Workspace:
     ) -> "Workspace":
         """An independent what-if branch of this workspace.
 
-        Without ``at``, the fork clones the *current* state: the schema
-        is copied shallowly (fresh containers, shared immutable values)
+        Without ``at``, the fork branches the *current* state: its
+        schema is a copy-on-write :meth:`Schema.fork
+        <repro.model.schema.Schema.fork>` that shares every interface
+        object with this workspace's schema until one side writes it,
         and its mutation log records the lineage, so record-level
         diffing of the two branches stays cheap.  The fork starts with
         an empty undo history -- its log entries' undo closures would

@@ -1025,6 +1025,73 @@ def _check_example_preservation(workspace):
         )
 
 
+#: Largest schema the preview-isolation invariant previews a
+#: whole-schema (WILDCARD) plan on; larger ones check narrow plans only,
+#: so the large fuzz profile stays cheap.
+_WILDCARD_PREVIEW_TYPES = 200
+
+
+@workspace_invariant(
+    "preview-isolation",
+    "DESIGN 5h: Workspace.preview mutates nothing -- fingerprint, log "
+    "and redo depth, issue list and every live interface object stay "
+    "as they were -- and its ok verdict is whether the plan applies",
+    tier=TIER_EXPENSIVE,
+)
+def _check_preview_isolation(workspace):
+    from repro.examples.preview import plan_instance_impact
+    from repro.ops.effects import WILDCARD
+    from repro.workload.generator import generate_operations
+
+    schema = workspace.schema
+    if len(schema) < 2:
+        return
+    seed = schema.generation * 41 + len(schema)
+    try:
+        plan = generate_operations(schema, 3, seed=seed)
+    except RuntimeError:
+        return  # too constrained to derive a plan here; nothing to check
+    if (
+        WILDCARD in plan_instance_impact(plan)
+        and len(schema) > _WILDCARD_PREVIEW_TYPES
+    ):
+        return
+    fingerprint = schema_fingerprint(schema)
+    depths = (workspace.undo_depth, workspace.redo_depth)
+    issues = list(workspace.issues)
+    live = dict(schema.interfaces)
+    preview = workspace.preview(plan)
+    after = workspace.schema.interfaces
+    if schema_fingerprint(workspace.schema) != fingerprint:
+        yield "preview changed the workspace schema fingerprint"
+    if (workspace.undo_depth, workspace.redo_depth) != depths:
+        yield (
+            f"preview moved the history: (undo, redo) {depths} -> "
+            f"({workspace.undo_depth}, {workspace.redo_depth})"
+        )
+    if workspace.issues != issues:
+        yield "preview changed the workspace issue list"
+    replaced = sorted(
+        name for name, interface in live.items()
+        if after.get(name) is not interface
+    )
+    if replaced or len(after) != len(live):
+        yield (
+            "preview swapped live interface objects: "
+            f"{', '.join(replaced[:5]) or 'membership changed'}"
+        )
+    try:
+        workspace.fork("preview_isolation").apply_plan(plan)
+        applies = True
+    except (OperationError, SchemaError):
+        applies = False
+    if preview.ok != applies:
+        yield (
+            f"preview.ok is {preview.ok} but apply_plan on a fork "
+            f"{'succeeds' if applies else 'fails'}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Scoped (O(changed)) variants -- DESIGN 5i
 #

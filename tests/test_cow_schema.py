@@ -16,8 +16,12 @@ import gc
 
 import pytest
 
+from repro.catalog import SCHEMA_BUILDERS, load
+from repro.examples.generator import significant_examples
+from repro.instances.check import check_population
 from repro.model.attributes import Attribute
 from repro.model.fingerprint import schema_fingerprint, schemas_equal
+from repro.model.errors import UnknownTypeError
 from repro.model.index import scan_parts, scan_subtypes
 from repro.model.interface import InterfaceDef
 from repro.model.relationships import RelationshipEnd, RelationshipKind
@@ -307,3 +311,49 @@ class TestBorrowLifecycle:
         parent.get("Person").add_attribute(Attribute("p", ScalarType("long")))
         assert "d" not in parent.get("Person").attributes
         assert "p" not in duplicate.get("Person").attributes
+
+
+class TestReadOnlyLayersKeepSharing:
+    """Validation, example generation, population checks and the
+    hierarchy queries read a fork without materialising anything."""
+
+    @pytest.mark.parametrize("source", [
+        *sorted(SCHEMA_BUILDERS),
+        "generated-isa-chain",
+        "generated-hub",
+    ])
+    def test_every_fork_interface_stays_the_parents_object(self, source):
+        if source == "generated-isa-chain":
+            parent = generate_schema(
+                WorkloadSpec(types=60, isa_chain=20, seed=5)
+            )
+        elif source == "generated-hub":
+            parent = generate_schema(
+                WorkloadSpec(types=60, hub_fanout=30, seed=5)
+            )
+        else:
+            parent = load(source)
+        fork = parent.fork("reader")
+        fork.validation.validate()  # a fresh fork's first run: full rebuild
+        assert fork.validation.stats()["full_validations"] == 1
+        pairs = significant_examples(fork)
+        assert pairs
+        for pair in pairs:
+            check_population(fork, pair.witness)
+            check_population(fork, pair.near_miss)
+        for name in fork.type_names():
+            fork.ancestors(name)
+            fork.descendants(name)
+            fork.inherited_attributes(name)
+        assert all(
+            fork.interfaces[name] is parent.interfaces[name]
+            for name in parent.type_names()
+        )
+
+    def test_hierarchy_queries_still_reject_unknown_types(self):
+        fork = build_schema().fork("reader")
+        with pytest.raises(UnknownTypeError):
+            fork.ancestors("Ghost")
+        with pytest.raises(UnknownTypeError):
+            fork.descendants("Ghost")
+        assert fork.inherited_attributes("Ghost") == {}

@@ -51,6 +51,16 @@ class TestMain:
         assert main(["/nonexistent/nowhere.odl"]) == 1
         assert "cannot read" in capsys.readouterr().out
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.odl"
+        path.write_bytes(b"interface A {};\n\xff\xfe")
+        good = tmp_path / "good.odl"
+        good.write_text("interface B {};")
+        assert main([str(path), str(good)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}: cannot read:" in out
+        assert "ok" in out  # the remaining files are still checked
+
     def test_multiple_files(self, tmp_path):
         good = tmp_path / "good.odl"
         good.write_text("interface A {};")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.model.errors import ReproError
+from repro.odl.check import check_text
 from repro.odl.lexer import (
     END,
     IDENT,
@@ -23,7 +24,7 @@ from repro.odl.lexer import (
 )
 from repro.odl.parser import MAX_TYPE_NESTING, parse_schema, parse_type
 from repro.odl.printer import print_schema
-from repro.ops.language import parse_operation, parse_script
+from repro.ops.language import parse_composite, parse_operation, parse_script
 from repro.workload.generator import (
     WorkloadSpec,
     generate_operations,
@@ -333,3 +334,33 @@ class TestMutatedInputOnlyRaisesReproError:
         mutated = _mutate(script, mutations)
         _only_repro_errors(parse_script, mutated)
         _only_repro_errors(parse_operation, mutated)
+
+    @_ROBUST
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(_MUTATION, min_size=1, max_size=4),
+    )
+    def test_composite_text(self, seed, mutations):
+        schema = generate_schema(WorkloadSpec(types=4, seed=seed))
+        first, second, *_ = schema.type_names()
+        attributes = ", ".join(schema.get(first).attributes)
+        for text in (
+            f"introduce_abstract_supertype(Abstract{seed}, "
+            f"({first}, {second}), nolift)",
+            f"extract_supertype({second}, {first}, ({attributes}), (op0))",
+            f"split_by_subtyping({first}, Sub{seed}, ({attributes}), ())",
+        ):
+            parse_composite(text)
+            _only_repro_errors(parse_composite, _mutate(text, mutations))
+
+    @_ROBUST
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(_MUTATION, min_size=1, max_size=4),
+    )
+    def test_checker_text(self, seed, mutations):
+        schema = generate_schema(WorkloadSpec(types=4, seed=seed))
+        _only_repro_errors(
+            lambda text: check_text(text, "mutated"),
+            _mutate(print_schema(schema), mutations),
+        )

@@ -6,15 +6,28 @@ the two schemas, and what the plan newly admits or forbids surfaces as
 ordinary feedback messages -- without mutating the workspace.
 """
 
-import pytest
+import gc
+import tracemalloc
 
-from repro.catalog import load
-from repro.examples.preview import plan_instance_impact
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.catalog import SCHEMA_BUILDERS, load
+from repro.examples.generator import significant_examples
+from repro.examples.preview import _CHUNK, plan_instance_impact
 from repro.knowledge.feedback import FeedbackLevel
 from repro.model.fingerprint import schema_fingerprint
 from repro.ops.effects import WILDCARD
 from repro.ops.language import parse_operation
+from repro.ops.type_ops import DeleteTypeDefinition
 from repro.repository.workspace import Workspace
+from repro.workload.generator import (
+    WorkloadSpec,
+    generate_operations,
+    generate_schema,
+)
+from tests.preview_reference import reference_preview
 
 
 @pytest.fixture
@@ -150,3 +163,136 @@ class TestDesignerCliCommands:
 
         text = execute(session, "help")
         assert "preview" in text and "examples" in text
+
+
+# ----------------------------------------------------------------------
+# The streamed preview against the two-list reference
+# ----------------------------------------------------------------------
+
+
+def _fields(preview):
+    """A ``PlanPreview`` as plain comparable values, field for field."""
+
+    def finding(f):
+        return (
+            f.subject, f.kind, f.population.name, f.population.objects,
+            f.issues,
+        )
+
+    return (
+        preview.ok,
+        preview.impacted,
+        [finding(f) for f in preview.newly_forbidden],
+        [finding(f) for f in preview.newly_admitted],
+        preview.feedback,
+    )
+
+
+def assert_matches_reference(workspace, plan):
+    before = schema_fingerprint(workspace.schema)
+    streamed = workspace.preview(plan)
+    assert _fields(streamed) == _fields(reference_preview(workspace, plan))
+    assert schema_fingerprint(workspace.schema) == before
+    return streamed
+
+
+#: Generated-schema sizes around the chunk constant: inside one chunk,
+#: exactly one, one past it, and several chunks.
+_SIZES = (10, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 2)
+
+_SHAPES = {
+    "isa_chain": lambda n: {"isa_chain": n // 4},
+    "hub_fanout": lambda n: {"hub_fanout": n // 2},
+    "part_of": lambda n: {"part_of_chain": n // 3},
+    "instance_of": lambda n: {"instance_of_chain": n // 3},
+}
+
+
+class TestStreamedPreviewMatchesReference:
+    @settings(
+        max_examples=24,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        size=st.sampled_from(_SIZES),
+        shape=st.sampled_from(sorted(_SHAPES)),
+        seed=st.integers(min_value=0, max_value=10_000),
+        length=st.sampled_from((1, 1, 4)),
+        applied=st.integers(min_value=0, max_value=2),
+        delete=st.booleans(),
+    )
+    def test_generated_plans(self, size, shape, seed, length, applied,
+                             delete):
+        schema = generate_schema(
+            WorkloadSpec(types=size, seed=seed, **_SHAPES[shape](size))
+        )
+        try:
+            plan = generate_operations(schema, applied + length, seed=seed)
+        except RuntimeError:
+            return
+        workspace = Workspace(schema, "differential")
+        workspace.apply_plan(plan[:applied])
+        plan = plan[applied:]
+        if delete:
+            # A WILDCARD facet: the whole schema is impacted on both
+            # sides, and the deleted type exists on one side only.
+            names = workspace.schema.type_names()
+            plan = [DeleteTypeDefinition(names[seed % len(names)])] + plan
+        assert_matches_reference(workspace, plan)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_BUILDERS))
+    def test_catalog_schemas(self, name):
+        schema = load(name)
+        plan = generate_operations(schema, 6, seed=len(schema))
+        workspace = Workspace(schema, "differential")
+        preview = assert_matches_reference(workspace, plan)
+        assert preview.ok
+        for operation in plan:
+            assert_matches_reference(workspace, [operation])
+        workspace.apply_plan(plan[:3])
+        assert_matches_reference(workspace, plan[3:])
+
+    def test_whole_schema_delete_spans_several_chunks(self):
+        schema = generate_schema(WorkloadSpec(
+            types=2 * _CHUNK + 1, isa_chain=8, hub_fanout=_CHUNK, seed=7,
+        ))
+        workspace = Workspace(schema, "differential")
+        plan = [DeleteTypeDefinition("Type005")]
+        assert WILDCARD in plan_instance_impact(plan)
+        preview = assert_matches_reference(workspace, plan)
+        assert preview.ok
+        assert len(preview.impacted) == 2 * _CHUNK + 1
+        assert preview.newly_forbidden
+
+    @pytest.mark.parametrize("text", [
+        "add_type_definition(Person)",  # rejected by pre-flight
+        "add_supertype(Person, Student)",  # rejected while applying
+    ])
+    def test_rejected_plans(self, workspace, text):
+        preview = assert_matches_reference(workspace, [op(text)])
+        assert not preview.ok
+
+
+class TestPreviewMemoryIsBounded:
+    def test_peak_is_a_fraction_of_one_sides_examples(self):
+        schema = generate_schema(WorkloadSpec(types=300, seed=3))
+        workspace = Workspace(schema, "memory")
+        plan = [DeleteTypeDefinition("Type010")]
+        assert WILDCARD in plan_instance_impact(plan)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            pairs = significant_examples(workspace.schema)
+            one_side = tracemalloc.get_traced_memory()[0] - baseline
+            del pairs
+            gc.collect()
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            preview = workspace.preview(plan)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert preview.ok and preview.newly_forbidden
+        assert peak < one_side / 2, (peak, one_side)

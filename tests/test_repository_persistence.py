@@ -1,6 +1,7 @@
 """Unit tests for repository JSON persistence."""
 
 import json
+import os
 
 import pytest
 
@@ -14,6 +15,24 @@ from repro.repository.persistence import (
     save_repository,
 )
 from repro.repository.repository import SchemaRepository
+
+
+class _TornWriter:
+    """A file handle that writes half its first payload, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError("injected write failure")
 
 
 @pytest.fixture
@@ -58,6 +77,46 @@ class TestRoundTrip:
         assert data["operations"][0]["text"] == (
             "add_attribute(Person, date, dob)"
         )
+
+    @pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+    def test_failed_save_keeps_the_previous_file(
+        self, repository, tmp_path, monkeypatch, step
+    ):
+        path = tmp_path / "repo.json"
+        save_repository(repository, path)
+        saved = path.read_bytes()
+        repository.apply(parse_operation("add_attribute(Person, long, badge)"))
+
+        def fail(*args, **kwargs):
+            raise OSError(f"injected {step} failure")
+
+        if step == "write":
+            real_fdopen = os.fdopen
+            monkeypatch.setattr(
+                "os.fdopen",
+                lambda fd, *args, **kwargs: _TornWriter(
+                    real_fdopen(fd, *args, **kwargs)
+                ),
+            )
+        else:
+            monkeypatch.setattr(f"os.{step}", fail)
+        with pytest.raises(OSError, match="injected"):
+            save_repository(repository, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["repo.json"]
+
+    def test_save_replaces_in_place_and_keeps_permissions(
+        self, repository, tmp_path
+    ):
+        path = tmp_path / "repo.json"
+        save_repository(repository, path)
+        path.chmod(0o600)
+        repository.apply(parse_operation("add_attribute(Person, long, badge)"))
+        save_repository(repository, path)
+        assert os.listdir(tmp_path) == ["repo.json"]
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert "badge" in path.read_text(encoding="utf-8")
 
     def test_propagate_flag_persisted(self, small, tmp_path):
         repo = SchemaRepository(small)

@@ -208,6 +208,30 @@ class TestWorkspaceInvariants:
         assert "log-replay" in violated
         assert dropped.requested.op_name == "add_type_definition"
 
+    def test_preview_isolation_holds_on_a_cow_branch(self):
+        branch = Workspace(load("university")).fork("branch")
+        assert check_workspace(branch, names=["preview-isolation"]) == []
+
+    @pytest.mark.parametrize("fault", ["swap-interface", "wrong-verdict"])
+    def test_leaky_preview_detected(self, monkeypatch, fault):
+        from repro.examples import preview as preview_module
+
+        real = preview_module.preview_plan
+
+        def leaky(workspace, plan, concept=None):
+            result = real(workspace, plan, concept)
+            if fault == "swap-interface":
+                interfaces = workspace.schema.interfaces
+                interfaces["Person"] = interfaces["Person"].copy()
+            else:
+                result.ok = not result.ok
+            return result
+
+        monkeypatch.setattr(preview_module, "preview_plan", leaky)
+        workspace = Workspace(load("university"))
+        violated = check_workspace(workspace, names=["preview-isolation"])
+        assert [v.invariant for v in violated] == ["preview-isolation"]
+
     def test_mutated_attribute_breaks_nothing_when_logged(self):
         workspace = Workspace(load("university"))
         workspace.apply(
