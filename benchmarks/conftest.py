@@ -69,13 +69,21 @@ def merge_bench_results(results: dict[str, dict], path: Path = BENCH_JSON) -> No
 
 @pytest.fixture
 def report():
-    """Write one regenerated paper artifact to the reports directory."""
+    """Write one regenerated paper artifact to the reports directory.
+
+    Smoke runs (``REPRO_BENCH_SMOKE``) only print it: their reduced
+    sizes must not overwrite the checked-in full-sweep reports, just as
+    :func:`pytest_sessionfinish` keeps them out of the trajectory file.
+    """
 
     def write(artifact_id: str, text: str) -> None:
-        REPORTS_DIR.mkdir(exist_ok=True)
-        path = REPORTS_DIR / f"{artifact_id}.txt"
-        path.write_text(text.rstrip() + "\n", encoding="utf-8")
-        print(f"\n--- {artifact_id} (also at {path}) ---")
+        if os.environ.get("REPRO_BENCH_SMOKE"):
+            print(f"\n--- {artifact_id} (smoke run, not written) ---")
+        else:
+            REPORTS_DIR.mkdir(exist_ok=True)
+            path = REPORTS_DIR / f"{artifact_id}.txt"
+            path.write_text(text.rstrip() + "\n", encoding="utf-8")
+            print(f"\n--- {artifact_id} (also at {path}) ---")
         print(text)
 
     return write

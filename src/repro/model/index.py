@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.model.columnar import ColumnarAdjacency
+from repro.model.mutation import ORDER_CLOCK, Aspect, AspectClock, MutationRecord
 from repro.model.relationships import RelationshipEnd, RelationshipKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,39 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: (one-side owner, many-side target, to-many end) of one hierarchy link.
 Edge = tuple[str, str, RelationshipEnd]
-
-
-# ----------------------------------------------------------------------
-# Compatibility re-exports
-# ----------------------------------------------------------------------
-#
-# The aspect vocabulary and the dirty journal moved to the mutation
-# spine (repro.model.mutation) when mutations were reified; the legacy
-# string constants are now Aspect enum members (StrEnum: they compare
-# and hash like the old strings).  Kept importable from here for one
-# release.
-
-from repro.model.mutation import (  # noqa: E402,F401 (re-export)
-    ALL_ASPECTS as ALL_TOUCH_ASPECTS,
-    ORDER_CLOCK,
-    Aspect,
-    AspectClock,
-    DirtyJournal,
-    MutationRecord,
-    aspect_for_kind,
-    replayable_kind,
-)
-from repro.model.columnar import ColumnarAdjacency  # noqa: E402
-
-ASPECT_ISA = Aspect.ISA
-ASPECT_ATTRS = Aspect.ATTRS
-ASPECT_KEYS = Aspect.KEYS
-ASPECT_EXTENT = Aspect.EXTENT
-ASPECT_OPS = Aspect.OPS
-ASPECT_REL_ASSOCIATION = Aspect.REL_ASSOCIATION
-ASPECT_REL_PART_OF = Aspect.REL_PART_OF
-ASPECT_REL_INSTANCE_OF = Aspect.REL_INSTANCE_OF
-ASPECT_MEMBERSHIP = Aspect.MEMBERSHIP
 
 
 # Aspect-sharded stamp dependencies per cache family.  A family rebuilds

@@ -35,9 +35,13 @@ From the journal the cache closes over the rule scopes declared in
    resolution), walked over the index's ``subtype_map`` — whose keys
    include *dangling* supertype names, so adding or removing a type
    reaches the subtrees that (un)resolved under it;
-3. reference closure: interfaces that referenced any closed-over name at
-   the previous validation are re-checked too (inverse declarations,
-   order-by targets, and dangling references all read other interfaces).
+3. reference closure: interfaces that reference any closed-over name
+   are re-checked too (inverse declarations, order-by targets, and
+   dangling references all read other interfaces).  The referencers come
+   from the index's reverse-reference map (``SchemaIndex.referencers_of``)
+   and so reflect the current schema; an interface that referenced a name
+   at the previous validation but no longer does was itself mutated, so
+   it is a seed already.
 
 Everything outside the closure provably yields the same issues as
 before, so its cached tuples are reused verbatim.
@@ -201,8 +205,6 @@ class ValidationCache:
         "_schema",
         "_stamp",
         "_interface_issues",
-        "_refs_of",
-        "_referencers",
         "_cycle_issues",
         "_components",
         "_assembled",
@@ -218,11 +220,6 @@ class ValidationCache:
         #: Generation at the last (re)validation; ``None`` = never ran.
         self._stamp: int | None = None
         self._interface_issues: dict[str, _Slots] = {}
-        #: Names each interface referenced at its last revalidation,
-        #: and the reverse map; both kept incrementally so the
-        #: reference closure costs O(dirty), not O(schema).
-        self._refs_of: dict[str, frozenset[str]] = {}
-        self._referencers: dict[str, set[str]] = {}
         self._cycle_issues: dict[str, tuple[Issue, ...]] = {}
         self._components: list[_ComponentEntry] = []
         self._assembled: list[Issue] = []
@@ -340,8 +337,6 @@ class ValidationCache:
     def _rebuild_all(self) -> None:
         schema = self._schema
         self._interface_issues.clear()
-        self._refs_of.clear()
-        self._referencers.clear()
         for interface in schema:
             self._revalidate_interface(interface.name)
         for family in _CYCLE_FAMILIES:
@@ -389,15 +384,15 @@ class ValidationCache:
         )
         closed = seeds | self._descendants_of(descend_from)
 
-        # 3. Reference closure (maps reflect the previous validation;
-        # interfaces whose own references changed are seeds already).
+        # 3. Reference closure over the current references (interfaces
+        # whose own references changed are seeds already).
         dirty = set(closed)
         for name in closed | membership:
-            dirty.update(self._referencers.get(name, ()))
+            dirty.update(schema.index.referencers_of(name))
         dirty &= interfaces.keys()
 
         for name in gone:
-            self._drop_interface(name)
+            self._interface_issues.pop(name, None)
         for name in dirty:
             self._revalidate_interface(name)
         self.interfaces_revalidated += len(dirty)
@@ -419,7 +414,7 @@ class ValidationCache:
         return self._schema.index.descendants_closure(roots)
 
     # ------------------------------------------------------------------
-    # Per-interface slots and the reference maps
+    # Per-interface slots
     # ------------------------------------------------------------------
 
     def _revalidate_interface(self, name: str) -> None:
@@ -428,27 +423,6 @@ class ValidationCache:
         self._interface_issues[name] = tuple(
             tuple(rule(schema, interface)) for rule in INTERFACE_RULES
         )
-        new_refs = frozenset(interface.referenced_type_names())
-        old_refs = self._refs_of.get(name, frozenset())
-        if new_refs != old_refs:
-            for ref in old_refs - new_refs:
-                holders = self._referencers.get(ref)
-                if holders is not None:
-                    holders.discard(name)
-                    if not holders:
-                        del self._referencers[ref]
-            for ref in new_refs - old_refs:
-                self._referencers.setdefault(ref, set()).add(name)
-            self._refs_of[name] = new_refs
-
-    def _drop_interface(self, name: str) -> None:
-        self._interface_issues.pop(name, None)
-        for ref in self._refs_of.pop(name, frozenset()):
-            holders = self._referencers.get(ref)
-            if holders is not None:
-                holders.discard(name)
-                if not holders:
-                    del self._referencers[ref]
 
     # ------------------------------------------------------------------
     # Cycle rules

@@ -7,7 +7,9 @@ paths).  Blanks, ``//`` line comments and ``/* */`` block comments are
 skipped as the leading part of the same match.  Every token carries its
 line and column for error reporting; the line counter advances only by
 the newlines inside the skipped text, so no Python code runs per
-character.
+character.  Identifier values are interned, so every name a parse
+stores -- type, attribute, relationship path, inverse, extent,
+parameter -- is one string object per distinct name.
 
 :class:`TokenStream` pulls tokens lazily, so a lexical error surfaces
 when the parser reaches it (with the same message and position the
@@ -17,6 +19,7 @@ scanner reports) and the full token list is never materialised.
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import Iterator, NamedTuple
 
 from repro.model.errors import ReproError
@@ -111,9 +114,10 @@ def tokenize(text: str) -> Iterator[Token]:
                     f"unexpected character {text[start]!r}", line, column
                 )
         position = match.end()
-        yield _make_token(
-            Token, (kind, text[start:position], line, start - line_start + 1)
-        )
+        value = text[start:position]
+        if kind == IDENT:
+            value = intern(value)
+        yield _make_token(Token, (kind, value, line, start - line_start + 1))
 
 
 class TokenStream:

@@ -31,6 +31,8 @@ Grammar (EBNF)::
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.model.attributes import Attribute
 from repro.model.interface import InterfaceDef
 from repro.model.operations import Operation, Parameter
@@ -244,5 +246,12 @@ def _parse_type(stream: TokenStream, depth: int = 0) -> TypeRef:
             stream.advance()
             size = stream.expect_number()
             stream.expect_punct(")")
-        return ScalarType(word, size)
+        return _scalar_type(word, size)
     return NamedType(word)
+
+
+@lru_cache(maxsize=256)
+def _scalar_type(name: str, size: int | None) -> ScalarType:
+    """One shared immutable :class:`ScalarType` per ``(name, size)``; the
+    memo is bounded, and a bad size raises from ``ScalarType`` uncached."""
+    return ScalarType(name, size)

@@ -89,6 +89,12 @@ def _check_shape(data: dict) -> None:
         _check_record(record, _OPERATION_FIELDS, "operation record")
     for record in data.get("views", []):
         _check_record(record, _VIEW_FIELDS, "view record")
+        position = record["position"]
+        if type(position) is not int or position < 0:  # bool is an int
+            raise RepositoryFormatError(
+                f"view record position {position!r} is not a "
+                "non-negative integer"
+            )
         _check_names(record.get("spoke_paths"), "view spoke_paths")
         _check_names(record.get("attribute_names"), "view attribute_names")
     _check_names(data.get("local_names", {}).values(), "local_names")
@@ -127,7 +133,7 @@ def repository_from_dict(data: dict) -> SchemaRepository:
             f"a repository is a JSON object, not a {type(data).__name__}"
         )
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise RepositoryFormatError(
             f"unsupported repository format version {version!r} "
             f"(expected {FORMAT_VERSION})"

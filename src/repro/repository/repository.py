@@ -164,9 +164,11 @@ class SchemaRepository:
 
         The custom schema must pass structural validation -- Figure 1's
         "Generate custom schema" step is the gate at which the
-        consistency rules are enforced.
+        consistency rules are enforced.  It is a copy-on-write fork of
+        the workspace schema; the CoW barrier copies an interface into it
+        before the workspace writes one, so later edits never reach it.
         """
-        custom = self.workspace.schema.copy(name or self.workspace.schema.name)
+        custom = self.workspace.schema.fork(name or self.workspace.schema.name)
         custom.validate()
         self.custom_schema = custom
         return custom

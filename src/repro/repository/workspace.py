@@ -84,7 +84,9 @@ class Workspace:
     """The schema under design, with apply / undo / redo over operations.
 
     ``reference`` is the shrink wrap schema; it anchors semantic
-    stability checks and is never modified.
+    stability checks and is never modified.  The workspace schema is a
+    copy-on-write :meth:`~repro.model.schema.Schema.fork` of it, sharing
+    every interface the designer has not edited.
     """
 
     def __init__(
@@ -94,7 +96,7 @@ class Workspace:
         validate_each_step: bool = True,
     ) -> None:
         self.reference = reference
-        self.schema = reference.copy(name or f"{reference.name}_custom")
+        self.schema = reference.fork(name or f"{reference.name}_custom")
         self.context = OperationContext(reference=reference)
         self.log: list[LogEntry] = []
         self._redo_stack: list[LogEntry] = []
@@ -567,7 +569,7 @@ class Workspace:
         validation after a mutation is a full rebuild).
 
         With ``at`` (a snapshot of this workspace), the fork replays the
-        bookmarked plan prefix onto a fresh copy of the reference,
+        bookmarked plan prefix onto a fresh CoW fork of the reference,
         reproducing the state the snapshot bookmarked *with* a live undo
         history, while this workspace stays untouched.  When the replay
         cannot reproduce the state -- the schema was edited out-of-band
@@ -577,11 +579,14 @@ class Workspace:
         -- the fork falls back to rewinding this workspace to the
         snapshot, cloning, and replaying forward again; the branch is
         then state-correct but starts with an empty undo history, and a
-        :class:`RuntimeWarning` says so.
+        :class:`RuntimeWarning` says so.  Every workspace schema is a
+        fork; "itself a fork" means forked off a log other than the
+        reference's.
         """
         if at is not None:
             self._check_snapshot(at)
-            if self.schema.log.origin is not None:
+            origin = self.schema.log.origin
+            if origin is not None and origin is not self.reference.log:
                 return self._fork_by_rewind(
                     name, at,
                     "this workspace is itself a fork; its baseline is "
@@ -663,7 +668,7 @@ class Workspace:
 
     def reset(self) -> None:
         """Throw away all customization and start over."""
-        self.schema = self.reference.copy(self.schema.name)
+        self.schema = self.reference.fork(self.schema.name)
         self.log.clear()
         self._redo_stack.clear()
         self._refresh_issues()

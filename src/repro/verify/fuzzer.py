@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.model.fingerprint import memoized_schema_fingerprint, schema_fingerprint
+from repro.model.fingerprint import memoized_schema_fingerprint
 from repro.model.mutation import replayable_kind
 from repro.model.schema import Schema
 from repro.model.errors import SchemaError
@@ -148,7 +148,7 @@ class DifferentialHarness:
         scoped_checks: bool = False,
     ) -> None:
         self.workspace = Workspace(reference, f"{reference.name}_fuzz")
-        self.base_fp = schema_fingerprint(reference)
+        self.base_fp = memoized_schema_fingerprint(reference)
         self.fps: list[str | None] = [self.base_fp]
         self.redo_fps: list[str] = []
         self.check_every = max(1, check_every)
@@ -199,6 +199,7 @@ class DifferentialHarness:
                 f"{step.describe()} raised {type(error).__name__}: {error}",
             )
         violations.extend(self._check_shape())
+        violations.extend(self._check_reference())
         tiers = []
         if (step_index + 1) % self.cheap_every == 0:
             tiers.append(TIER_CHEAP)
@@ -224,7 +225,7 @@ class DifferentialHarness:
         """Interface names the spine recorded since the last sweep.
 
         ``None`` forces a full sweep: the workspace swapped schemas
-        (reset installs a fresh copy with its own log), or a lossy
+        (reset installs a fresh fork with its own log), or a lossy
         record (out-of-band ``touch``) hides what changed.
         """
         log = self.workspace.schema.log
@@ -452,6 +453,17 @@ class DifferentialHarness:
                 )
             )
         return violations
+
+    def _check_reference(self) -> list[Violation]:
+        """The shrink wrap never changes: the workspace shares every
+        interface it has not edited, so a write that bypassed
+        ``Schema.edit`` would land here.  O(1) while its spine is still."""
+        reference = self.workspace.reference
+        if memoized_schema_fingerprint(reference) == self.base_fp:
+            return []
+        return self._model_violation(
+            "reference-pinned", "the step changed the shrink wrap schema"
+        )
 
     def _check_shape(self) -> list[Violation]:
         violations = []

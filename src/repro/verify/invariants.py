@@ -564,8 +564,8 @@ def _check_spine_generation(schema, context):
 )
 def _check_spine_replay(schema, context):
     log = schema.log
-    if log.lossy:
-        return  # an out-of-band touch was recorded; replay is undefined
+    if not log.replayable:
+        return  # an out-of-band touch is on the lineage; replay is undefined
     try:
         rebuilt = log.replay(schema.name)
     except Exception as error:  # noqa: BLE001 - any escape is the finding

@@ -7,12 +7,14 @@ writes after fork, fork writes after parent, interleaved undo/redo on
 both workspaces, fork-of-fork chains, ``fork(at=snapshot)`` on a CoW
 child, delete/re-add name reuse, and the satellite regression that an
 undone type deletion restores an object whose recorded history stays
-independent of later mutations.
+independent of later mutations.  The repository's workspace and custom
+schema are CoW branches of the shrink wrap, which must never move.
 """
 
 from __future__ import annotations
 
 import gc
+import warnings
 
 import pytest
 
@@ -26,9 +28,12 @@ from repro.model.index import scan_parts, scan_subtypes
 from repro.model.interface import InterfaceDef
 from repro.model.relationships import RelationshipEnd, RelationshipKind
 from repro.model.schema import Schema
-from repro.model.types import ScalarType, set_of
+from repro.model.types import NamedType, ScalarType, set_of
+from repro.model.validation import validate_schema
 from repro.ops.attribute_ops import AddAttribute
+from repro.ops.language import parse_operation
 from repro.ops.type_ops import DeleteTypeDefinition
+from repro.repository.repository import SchemaRepository
 from repro.repository.workspace import Workspace
 from repro.workload.generator import (
     WorkloadSpec,
@@ -357,3 +362,135 @@ class TestReadOnlyLayersKeepSharing:
         with pytest.raises(UnknownTypeError):
             fork.descendants("Ghost")
         assert fork.inherited_attributes("Ghost") == {}
+
+
+class TestRepositorySharesTheShrinkWrap:
+    """The workspace and the custom schema are CoW branches: an opened
+    repository stores each interface once, and nothing the workspace
+    does ever writes the shrink wrap."""
+
+    @staticmethod
+    def _unshared(schema: Schema, shrink_wrap: Schema) -> set[str]:
+        return {
+            name
+            for name, interface in schema.interfaces.items()
+            if shrink_wrap.interfaces.get(name) is not interface
+        }
+
+    def test_a_fresh_workspace_shares_every_interface(self):
+        repository = SchemaRepository(load("university"))
+        workspace = repository.workspace.schema
+        assert workspace.type_names() == repository.shrink_wrap.type_names()
+        assert self._unshared(workspace, repository.shrink_wrap) == set()
+
+    def test_one_op_unshares_only_the_names_it_touched(self):
+        repository = SchemaRepository(load("university"))
+        repository.apply(parse_operation("delete_type_definition(Syllabus)"))
+        workspace = repository.workspace.schema
+        touched = {
+            record.interface
+            for record in workspace.log.records
+            if record.interface in workspace
+        }
+        assert touched == {"Course_Offering"}
+        assert self._unshared(workspace, repository.shrink_wrap) == touched
+
+    def test_the_shrink_wrap_never_moves(self):
+        repository = SchemaRepository(load("university"))
+        shrink_wrap = repository.shrink_wrap
+        workspace = repository.workspace
+        pinned = (schema_fingerprint(shrink_wrap), shrink_wrap.log.seq)
+
+        def still() -> bool:
+            return (
+                schema_fingerprint(shrink_wrap), shrink_wrap.log.seq
+            ) == pinned
+
+        repository.apply(parse_operation("add_attribute(Person, date, dob)"))
+        snapshot = workspace.snapshot()
+        repository.apply(parse_operation("delete_type_definition(Syllabus)"))
+        assert still()
+        repository.undo()
+        assert still()
+        workspace.redo()
+        assert still()
+        branch = workspace.fork("branch", at=snapshot)
+        branch.apply(parse_operation("delete_attribute(Person, name)"))
+        assert still()
+        repository.generate_custom_schema()
+        assert still()
+        workspace.reset()
+        assert still()
+        assert self._unshared(workspace.schema, shrink_wrap) == set()
+
+    def test_fork_at_replays_on_a_plain_workspace(self):
+        workspace = Workspace(load("university"))
+        for _ in range(2):  # a fresh workspace, then after reset
+            workspace.apply(parse_operation("add_attribute(Person, date, dob)"))
+            snapshot = workspace.snapshot()
+            workspace.apply(parse_operation("delete_type_definition(Syllabus)"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                branch = workspace.fork("branch", at=snapshot)
+            assert branch.undo_depth == 1
+            assert "dob" in branch.schema.interfaces["Person"].attributes
+            assert "Syllabus" in branch.schema
+            branch.undo_last()
+            assert schema_fingerprint(branch.schema) == schema_fingerprint(
+                workspace.reference
+            )
+            workspace.reset()
+
+    def test_the_custom_schema_stays_frozen(self):
+        repository = SchemaRepository(load("university"))
+        repository.apply(parse_operation("add_attribute(Person, date, dob)"))
+        custom = repository.generate_custom_schema()
+        workspace = repository.workspace.schema
+        assert all(
+            custom.interfaces[name] is workspace.interfaces[name]
+            for name in workspace.type_names()
+        )
+        frozen = schema_fingerprint(custom)
+        # an owned interface, then a shared one plus a deletion
+        repository.apply(parse_operation("delete_attribute(Person, dob)"))
+        repository.apply(parse_operation("delete_type_definition(Syllabus)"))
+        repository.undo()
+        repository.workspace.redo()
+        assert schema_fingerprint(custom) == frozen
+        assert "dob" in custom.interfaces["Person"].attributes
+        assert "Syllabus" in custom
+
+    def test_a_workspace_over_a_touched_shrink_wrap_verifies_clean(self):
+        from repro.verify.invariants import check_workspace
+
+        shrink_wrap = load("university")
+        shrink_wrap.touch()  # lossy: the workspace's lineage cannot replay
+        workspace = Workspace(shrink_wrap)
+        workspace.apply(parse_operation("add_attribute(Person, date, dob)"))
+        assert not workspace.schema.log.replayable
+        assert check_workspace(workspace) == []
+
+    def test_reference_closure_on_a_branch(self):
+        branch = Workspace(load("university")).fork("branch")
+
+        def agrees() -> bool:
+            return branch.issues == validate_schema(branch.schema)
+
+        branch.apply(parse_operation("delete_type_definition(Syllabus)"))
+        assert agrees()
+        branch.undo_last()
+        assert agrees()
+        branch.apply(parse_operation(
+            "modify_relationship_target_type(Department, graduate_students, "
+            "Doctoral)"
+        ))
+        assert agrees()
+        # Book names an undefined type; defining it must revalidate
+        # Book, which only the reference closure reaches.
+        schema = branch.schema
+        schema.edit("Book").add_attribute(Attribute("ghost", NamedType("Ghost")))
+        dangling = schema.validation.validate()
+        assert dangling == validate_schema(schema)
+        assert any(issue.rule == "dangling-type" for issue in dangling)
+        schema.add_interface(InterfaceDef("Ghost"))
+        assert schema.validation.validate() == validate_schema(schema)

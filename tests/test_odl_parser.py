@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.errors import DuplicateNameError
+from repro.model.errors import DuplicateNameError, InvalidModelError
 from repro.model.relationships import RelationshipKind
 from repro.model.types import named, scalar, set_of
 from repro.odl.lexer import OdlSyntaxError
@@ -171,3 +171,51 @@ class TestParseSchema:
     def test_duplicate_interface_rejected(self):
         with pytest.raises(DuplicateNameError):
             parse_schema("interface A {}; interface A {};", name="s")
+
+
+class TestSharedValues:
+    """One parse stores each distinct name, and each scalar type, once."""
+
+    TEXT = """
+        interface Person {
+            extent people;
+            attribute string(40) attr0;
+            attribute long years;
+            relationship Office works_in inverse Office::occupant;
+            void rename(in string(40) attr0);
+        };
+        interface Office {
+            attribute string(40) attr0;
+            attribute long years;
+            relationship Person occupant inverse Person::works_in;
+        };
+    """
+
+    def test_equal_identifiers_are_one_string(self):
+        schema = parse_schema(self.TEXT)
+        person, office = schema.interfaces["Person"], schema.interfaces["Office"]
+        assert person.attributes["attr0"].name is office.attributes["attr0"].name
+        end = person.relationships["works_in"]
+        assert end.inverse_type is office.name
+        assert end.target_type is office.name
+        assert office.relationships["occupant"].inverse_name is end.name
+        parameter = person.operations["rename"].parameters[0]
+        assert parameter.name is office.attributes["attr0"].name
+
+    def test_equal_scalar_types_are_one_object(self):
+        schema = parse_schema(self.TEXT)
+        person, office = schema.interfaces["Person"], schema.interfaces["Office"]
+        assert person.attributes["attr0"].type is office.attributes["attr0"].type
+        assert person.attributes["years"].type is office.attributes["years"].type
+        parameter = person.operations["rename"].parameters[0]
+        assert parameter.type is person.attributes["attr0"].type
+        assert parse_type("string(40)") is person.attributes["attr0"].type
+
+    @pytest.mark.parametrize("text, message", [
+        ("string(0)", "size of 'string' must be positive, got 0"),
+        ("long(5)", "scalar type 'long' does not accept a size"),
+    ])
+    def test_a_bad_size_still_raises_every_time(self, text, message):
+        for _ in range(2):  # the failure is not memoized
+            with pytest.raises(InvalidModelError, match=message):
+                parse_type(text)

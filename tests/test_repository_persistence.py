@@ -9,6 +9,7 @@ from repro.model.errors import SchemaError
 from repro.model.fingerprint import schemas_equal
 from repro.ops.language import parse_operation
 from repro.repository.persistence import (
+    RepositoryFormatError,
     load_repository,
     repository_from_dict,
     repository_to_dict,
@@ -139,4 +140,21 @@ class TestFormatGuards:
         data = repository_to_dict(repository)
         del data["format_version"]
         with pytest.raises(SchemaError):
+            repository_from_dict(data)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_an_int(self, repository, version):
+        data = repository_to_dict(repository)
+        data["format_version"] = version
+        with pytest.raises(RepositoryFormatError, match="format version"):
+            repository_from_dict(data)
+
+    @pytest.mark.parametrize("position", [False, True, 0.0, -1])
+    def test_view_position_must_be_a_non_negative_int(
+        self, repository, position
+    ):
+        repository.create_wagon_wheel_view("Person", "v")
+        data = repository_to_dict(repository)
+        data["views"][0]["position"] = position
+        with pytest.raises(RepositoryFormatError, match="position"):
             repository_from_dict(data)

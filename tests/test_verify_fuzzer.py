@@ -209,3 +209,32 @@ class TestLargeProfile:
         )
         assert [report.subject for report in reports] == ["large_20_0"]
         assert all(report.ok for report in reports)
+
+
+class TestShrinkWrapPin:
+    """The workspace shares the shrink wrap's interfaces copy-on-write,
+    so every fuzz step also checks that the shrink wrap did not move."""
+
+    def test_write_through_a_shared_interface_is_reported(self):
+        from repro.verify.fuzzer import DifferentialHarness
+
+        reference = load("university")
+        harness = DifferentialHarness(reference)
+        shared = harness.workspace.schema.interfaces["Person"]
+        assert shared is reference.interfaces["Person"]
+        shared.set_extent("leaked")
+        violations = harness.execute(FuzzStep("undo"), 0)
+        assert "reference-pinned" in {v.invariant for v in violations}
+
+    def test_fuzzer_catches_a_fetch_that_skips_the_cow_fault(
+        self, monkeypatch
+    ):
+        from repro.model.schema import Schema
+
+        # ``Schema.get`` handing out the shared object unmaterialised:
+        # every op's write then lands in the shrink wrap.
+        monkeypatch.setattr(Schema, "get", Schema._lookup)
+        report = fuzz(load("university"), seed=7, steps=20)
+        assert not report.ok
+        violated = {v.invariant for v in report.failure.violations}
+        assert "reference-pinned" in violated
