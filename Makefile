@@ -8,9 +8,9 @@ test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 ## static checks: the contract-lint framework (spine emission, CoW
-## barriers, compiled-plan purity, effect signatures, read scopes,
-## reference-spec independence, instance-impact honesty, silent-write
-## detection -- see DESIGN.md 5k) always runs; ruff runs when installed
+## barriers, effect signatures, read scopes, reference-spec
+## independence, instance-impact honesty, silent-write detection --
+## see DESIGN.md 5k) always runs; ruff runs when installed
 ## (the sandbox image ships without it) and is mandatory when
 ## REPRO_REQUIRE_RUFF=1 (CI sets it, so a broken ruff install fails
 ## loudly there instead of skipping)

@@ -24,7 +24,8 @@ PR's headline claims rest on, frozen when that PR lands: ``BENCH_PR5``
 (columnar core), ``BENCH_PR9`` (copy-on-write forks).  Earlier files
 are never rewritten -- they are the
 baselines later PRs' floors assert against (CI compares the columnar
-compiled-plan point against ``BENCH_PR6.json``).  ``BENCH_JSON`` below
+1k-type plan point against the compiled-plan figure in
+``BENCH_PR6.json``).  ``BENCH_JSON`` below
 names the file the *current* PR's sessions write; bump it when a new
 PR starts a new measurement set, and route any bench that belongs to a
 prior set explicitly via ``merge_bench_results(..., path=...)``.

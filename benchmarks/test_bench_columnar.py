@@ -8,8 +8,8 @@ touched-interface set.  This bench records the types-axis curve the
 ISSUE asks for at 200 / 1k / 10k / 100k types:
 
 * ``build``    -- workload generation of the reference schema;
-* ``plan``     -- the same 100-op seeded plan through the fused
-  compiled path (median, state undone between reps);
+* ``plan``     -- the same 100-op seeded plan through
+  :meth:`Workspace.apply_plan` (median, state undone between reps);
 * ``fork``     -- one what-if branch of the evolved workspace;
 * ``verify``   -- a full structural sweep (``validate_schema``, the
   O(types + ends) reference scan; the *invariant-registry* full sweep
@@ -22,11 +22,12 @@ ISSUE asks for at 200 / 1k / 10k / 100k types:
 plus peak-RSS and tracemalloc deltas for the build, all merged into
 ``BENCH_PR8.json`` (see the BENCH_* convention in ``conftest.py``).
 
-Floors: at full scale the 100-op compiled plan stays under 1 s median
-and peak RSS under 2 GB at 100k types.  The smoke configuration (CI's
+Floors: at full scale the 100-op plan stays under 1 s median and peak
+RSS under 2 GB at 100k types.  The smoke configuration (CI's
 ``bench-columnar-smoke``) runs the 200 / 1k points only and asserts
-the 1k compiled-plan point regresses < 20 % against the frozen
-``BENCH_PR6.json`` baseline.
+the 1k plan point regresses < 20 % against the frozen
+``BENCH_PR6.json`` baseline, taken on the compiled-plan pass that
+``apply_plan`` replaced.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _rss_mb() -> float:
 def _plan_times(
     workspace: Workspace, operations: list, size: int
 ) -> tuple[float, float]:
-    """(median, best) compiled-plan apply times over the repeat budget."""
+    """(median, best) ``apply_plan`` times over the repeat budget."""
     # Flush garbage left by earlier bench modules first: a cycle
     # collection landing inside a timed rep inflates the median by
     # 20-40% when this module runs late in the bench-smoke sweep,
@@ -95,7 +96,7 @@ def _plan_times(
     for _ in range(_repeats(size)):
         plan = list(operations)
         start = time.perf_counter()
-        entries = workspace.apply_plan_compiled(plan)
+        entries = workspace.apply_plan(plan)
         times.append(time.perf_counter() - start)
         for _ in range(len(entries)):
             workspace.undo_last()
@@ -106,7 +107,7 @@ def _scoped_verify_time(workspace: Workspace, operations: list) -> float:
     """Apply the plan once, then time the O(changed) post-plan sweep."""
     schema = workspace.schema
     seq_before = schema.log.seq
-    entries = workspace.apply_plan_compiled(list(operations))
+    entries = workspace.apply_plan(list(operations))
     touched: set[str] = set()
     for record in schema.log.records_since(seq_before):
         touched.update(record.names())
@@ -150,7 +151,7 @@ def test_bench_columnar_scaling(report, record_bench):
         rss = _rss_mb()
         rows.append((size, build, plan, fork, verify, scoped, traced_mb, rss))
         for metric, value in (
-            ("build", build), ("plan_compiled", plan), ("fork", fork),
+            ("build", build), ("plan", plan), ("fork", fork),
             ("full_verify", verify), ("scoped_verify", scoped),
         ):
             results[f"columnar_{metric}[{size}]"] = {
@@ -164,7 +165,7 @@ def test_bench_columnar_scaling(report, record_bench):
             "tracemalloc_peak_mb": round(traced_mb, 1),
             "peak_rss_mb": round(rss, 1),
         }
-        record_bench(f"columnar_plan_compiled[{size}]", plan, types=size)
+        record_bench(f"columnar_plan[{size}]", plan, types=size)
 
     lines = [
         f"{'types':>7}  {'build':>8}  {'plan':>8}  {'fork':>8}  "
@@ -185,7 +186,7 @@ def test_bench_columnar_scaling(report, record_bench):
         largest = rows[-1]
         assert largest[0] == 100_000
         assert largest[2] < PLAN_FLOOR_SECONDS, (
-            f"compiled 100-op plan at 100k types took "
+            f"100-op plan at 100k types took "
             f"{largest[2]:.3f}s median (floor {PLAN_FLOOR_SECONDS:.1f}s)"
         )
         assert largest[7] < RSS_FLOOR_MB, (
@@ -193,8 +194,8 @@ def test_bench_columnar_scaling(report, record_bench):
             f"(floor {RSS_FLOOR_MB}MB)"
         )
     else:
-        # CI smoke floor: the columnar compiled-plan point at 1k types
-        # must stay within 20 % of the frozen PR 6 baseline.  Compared
+        # CI smoke floor: the 1k-type plan point must stay within 20 %
+        # of the frozen compiled-plan baseline.  Compared
         # against the *best* rep, not the median: when this module runs
         # late in the bench-smoke sweep the median carries 20-40% of
         # process noise from earlier modules (the standalone
@@ -209,7 +210,7 @@ def test_bench_columnar_scaling(report, record_bench):
         floor = entry["median_seconds"] * SMOKE_REGRESSION_FACTOR
         point = best_plan[1_000]
         assert point < floor, (
-            f"columnar compiled-plan at 1k types took {point * 1000:.1f}ms "
+            f"columnar apply_plan at 1k types took {point * 1000:.1f}ms "
             f"best-of-reps, > {SMOKE_REGRESSION_FACTOR:.0%} of the PR 6 "
             f"baseline ({entry['median_seconds'] * 1000:.1f}ms)"
         )

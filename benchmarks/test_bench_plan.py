@@ -1,21 +1,19 @@
-"""Batched plan application and analyzer overhead (ISSUE 5).
+"""Whole-plan application and analyzer overhead.
 
 Two measurements, merged into the bench trajectory JSON:
 
-* **Naive vs batched plan application** at shrink-wrap scale: applying
+* **Per-op vs whole-plan application** at shrink-wrap scale: applying
   a 100-op plan through :meth:`Workspace.apply` validates after every
   op; :meth:`Workspace.apply_plan` runs the static analyzer once,
-  partitions the plan into runs of pairwise-commuting ops, and
-  validates once per batch.  The two paths are asserted
-  fingerprint-identical (the bench doubles as the batching
-  differential), then timed.  Floor: parity (>= 0.9x) at 200 types /
-  100 ops.  The original ISSUE 5 floor was >= 2x, but most of that gap
-  was the per-op path paying an *eager propagation scratch copy* per
-  operation -- PR 9's copy-on-write forks collapsed that tax, so at
-  200 types the two paths now tie (~1.0x) and batching's advantage
-  only re-emerges with schema size (~1.5x at 4k types); the bulk-path
-  scaling floors live with the compiled pass in
-  ``test_bench_compact.py`` / ``test_bench_columnar.py``.
+  applies every op through the same engine, and validates once at the
+  end.  The two paths are asserted fingerprint-identical (the bench
+  doubles as a differential), then timed.  Floor: parity (>= 0.9x) at
+  200 types / 100 ops.  The original floor was >= 2x, but most
+  of that gap was the per-op path paying an *eager propagation scratch
+  copy* per operation -- copy-on-write forks collapsed that tax, so at
+  200 types the two paths now tie; the scaling floors of
+  ``apply_plan`` live in ``test_bench_compact.py`` /
+  ``test_bench_columnar.py``.
 * **Analyzer overhead**: :func:`~repro.analysis.plan.analyze_plan` on
   the same plan, alone, as a fraction of the naive apply time -- the
   pre-flight must stay a small add-on, not a second apply loop.
@@ -57,8 +55,8 @@ def _workload():
     return schema, plan
 
 
-def test_bench_plan_batched_vs_naive(report, record_bench):
-    """apply_plan (validate per batch) vs apply (validate per op)."""
+def test_bench_plan_whole_vs_naive(report, record_bench):
+    """apply_plan (validate once) vs apply (validate per op)."""
     schema, plan = _workload()
 
     def naive():
@@ -67,37 +65,35 @@ def test_bench_plan_batched_vs_naive(report, record_bench):
             workspace.apply(operation)
         return workspace
 
-    def batched():
-        workspace = Workspace(schema, "batched")
+    def whole():
+        workspace = Workspace(schema, "whole")
         workspace.apply_plan(plan)
         return workspace
 
     assert schema_fingerprint(naive().schema) == schema_fingerprint(
-        batched().schema
-    ), "batched apply_plan diverged from naive per-op application"
+        whole().schema
+    ), "apply_plan diverged from naive per-op application"
 
     naive_time = _median_time(naive, repeats=REPEATS)
-    batched_time = _median_time(batched, repeats=REPEATS)
-    speedup = naive_time / batched_time if batched_time else float("inf")
-    batches = len(analyze_plan(plan, schema).batches)
+    whole_time = _median_time(whole, repeats=REPEATS)
+    speedup = naive_time / whole_time if whole_time else float("inf")
 
     record_bench(f"plan_naive[{SIZE}x{PLAN_OPS}]", naive_time, types=SIZE)
-    record_bench(f"plan_batched[{SIZE}x{PLAN_OPS}]", batched_time, types=SIZE)
+    record_bench(f"plan_whole[{SIZE}x{PLAN_OPS}]", whole_time, types=SIZE)
     lines = [
-        "plan application: per-op validation vs per-batch validation",
+        "plan application: per-op validation vs one validation per plan",
         f"mode: {'smoke' if SMOKE else 'full'}; {SIZE} types, "
-        f"{len(plan)}-op plan, {batches} batches",
+        f"{len(plan)}-op plan",
         "",
-        f"naive (validate/op):      {naive_time * 1e3:9.3f}ms",
-        f"batched (validate/batch): {batched_time * 1e3:9.3f}ms",
-        f"speedup:                  {speedup:9.2f}x "
+        f"naive (apply, validate/op):       {naive_time * 1e3:9.3f}ms",
+        f"whole (apply_plan, validate/plan): {whole_time * 1e3:9.3f}ms",
+        f"speedup:                          {speedup:9.2f}x "
         "(floor at 200 types / 100 ops: parity, >= 0.9x)",
     ]
     report("plan_batched_vs_naive", "\n".join(lines))
-    # Parity guard: since CoW forks removed the per-op scratch-copy tax
-    # (PR 9), batching no longer wins at 200 types -- but it must never
-    # *lose* to per-op application either (its remaining value is one
-    # analysis pass, commutativity batching, and the scaling curve).
+    # Parity guard: since CoW forks removed the per-op scratch-copy tax,
+    # whole-plan application no longer wins at 200 types -- but it must
+    # never *lose* to per-op application either.
     floor = 0.9 if STRICT else 0.75
     assert speedup >= floor, (
         f"apply_plan at {SIZE} types / {len(plan)} ops fell to "

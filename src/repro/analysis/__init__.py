@@ -44,8 +44,6 @@ _PLAN_EXPORTS = frozenset({
     "PlanPreflightError",
     "analyze_plan",
     "conflict_edges",
-    "normalize_plan",
-    "partition_batches",
 })
 
 
@@ -93,8 +91,6 @@ __all__ = [
     "format_table",
     "full_rebuild_script",
     "name_affinity",
-    "normalize_plan",
-    "partition_batches",
     "render_path",
     "schema_affinity",
     "schema_diff",

@@ -8,57 +8,40 @@ inspects a whole plan *without mutating the schema*, using the
 :class:`~repro.ops.effects.EffectSignature` each operation class
 declares:
 
-* :func:`analyze_plan` builds a def-use/conflict graph over the plan,
+* :func:`analyze_plan` builds a def-use/conflict graph over the plan and
   reports **pre-flight diagnostics** (operations that are statically
   guaranteed to fail: unknown or deleted names, duplicate type names,
   extent name-equivalence violations, Table 1 inadmissibility) with op
-  indices before anything runs, and -- when the plan is clean --
-  **normalizes** it (dead add→delete pairs, add/modify and
-  modify-chain fusion) and partitions it into commuting **batches**;
-* :meth:`repro.repository.workspace.Workspace.apply_plan` consumes the
-  batches to validate once per batch instead of once per op;
+  indices before anything runs;
+* :meth:`repro.repository.workspace.Workspace.apply_plan` runs the
+  pre-flight and refuses a diagnosed plan before anything mutates;
 * ``python -m repro.analysis.plan --schema file.odl --script plan.txt``
   prints the report from the command line.
 
 Soundness contract (backed by the ``plan-analyzer-differential`` fuzzer
-invariant):
-
-* every diagnostic corresponds to a real dynamic failure of that op --
-  the name/extent simulation mirrors exactly the checks the operations
-  themselves make, so there are no false positives;
-* a plan that passes clean *may* still fail dynamically (the analyzer
-  does not model attribute- or relationship-level state), but
-  normalization and batching never change what a clean, applicable plan
-  computes: batches preserve execution order (they only coarsen
-  validation), and rewrites are applied only when the ops involved are
-  commutable to adjacency under the conflict relation.
+invariant): every diagnostic corresponds to a real dynamic failure of
+that op -- the name/extent simulation mirrors exactly the checks the
+operations themselves make, so there are no false positives.  A plan
+that passes clean *may* still fail dynamically (the analyzer does not
+model attribute- or relationship-level state); the plan is never
+rewritten, so it then fails exactly where op-by-op application fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.concepts.base import ConceptKind
 from repro.model.schema import Schema
-from repro.ops.attribute_ops import (
-    AddAttribute,
-    DeleteAttribute,
-    ModifyAttributeType,
-)
 from repro.ops.base import OperationError, SchemaOperation
 from repro.ops.effects import EffectSignature
-from repro.ops.operation_ops import AddOperation, DeleteOperation
 from repro.ops.registry import is_admissible
-from repro.ops.type_ops import AddTypeDefinition, DeleteTypeDefinition
+from repro.ops.type_ops import AddTypeDefinition
 from repro.ops.type_property_ops import (
     AddExtentName,
-    AddKeyList,
-    AddSupertype,
     DeleteExtentName,
-    DeleteKeyList,
-    DeleteSupertype,
     ModifyExtentName,
 )
 
@@ -107,14 +90,6 @@ class PlanAnalysis:
     signatures: list[EffectSignature]
     edges: list[ConflictEdge]
     diagnostics: list[Diagnostic]
-    #: The rewritten plan (== ``plan`` when diagnostics exist or
-    #: normalization found nothing); execution order is preserved.
-    normalized: list[SchemaOperation]
-    #: Human-readable notes for each normalization rewrite.
-    notes: list[str] = field(default_factory=list)
-    #: Consecutive runs of pairwise-commuting ops of ``normalized``;
-    #: concatenated they are exactly ``normalized``.
-    batches: list[list[SchemaOperation]] = field(default_factory=list)
 
     def is_clean(self) -> bool:
         """True when pre-flight found no guaranteed failure."""
@@ -131,19 +106,6 @@ class PlanAnalysis:
             lines.extend(f"  {diag}" for diag in self.diagnostics)
         else:
             lines.append("pre-flight: clean")
-        for note in self.notes:
-            lines.append(f"normalize: {note}")
-        if len(self.normalized) != len(self.plan):
-            lines.append(
-                f"normalized: {len(self.plan)} -> "
-                f"{len(self.normalized)} operation(s)"
-            )
-        if self.batches:
-            sizes = ", ".join(str(len(batch)) for batch in self.batches)
-            lines.append(
-                f"batches: {len(self.batches)} "
-                f"(validate once per batch; sizes: {sizes})"
-            )
         return "\n".join(lines)
 
 
@@ -303,7 +265,7 @@ def _apply_extent_effect(
 
 
 # ----------------------------------------------------------------------
-# Conflict graph and batching
+# Conflict graph
 # ----------------------------------------------------------------------
 
 
@@ -320,321 +282,6 @@ def conflict_edges(
     return edges
 
 
-def partition_batches(
-    plan: list[SchemaOperation],
-    signatures: list[EffectSignature] | None = None,
-) -> list[list[SchemaOperation]]:
-    """Split the plan into consecutive runs of pairwise-commuting ops.
-
-    Execution order is untouched -- batches are cut points, nothing is
-    reordered -- so batching is always safe; it only decides how often
-    :meth:`~repro.repository.workspace.Workspace.apply_plan` re-validates.
-    """
-    if signatures is None:
-        signatures = [operation.effect_signature() for operation in plan]
-    batches: list[list[SchemaOperation]] = []
-    current: list[SchemaOperation] = []
-    current_signatures: list[EffectSignature] = []
-    for operation, signature in zip(plan, signatures):
-        if current and any(
-            previous.conflicts_with(signature) is not None
-            for previous in current_signatures
-        ):
-            batches.append(current)
-            current = []
-            current_signatures = []
-        current.append(operation)
-        current_signatures.append(signature)
-    if current:
-        batches.append(current)
-    return batches
-
-
-# ----------------------------------------------------------------------
-# Normalization: dead pairs and fusion
-# ----------------------------------------------------------------------
-
-#: (add class, delete class) pairs whose add→delete of the same
-#: construct is an exact no-op.  Relationship add/delete pairs are
-#: excluded on purpose: deleting an end also removes a paired inverse
-#: that may predate the add.
-_DEAD_PAIR_KEYS = {
-    AddTypeDefinition: lambda op: ("type", op.typename),
-    DeleteTypeDefinition: lambda op: ("type", op.typename),
-    AddAttribute: lambda op: ("attribute", op.typename, op.attribute_name),
-    DeleteAttribute: lambda op: ("attribute", op.typename, op.attribute_name),
-    AddOperation: lambda op: ("operation", op.typename, op.operation_name),
-    DeleteOperation: lambda op: ("operation", op.typename, op.operation_name),
-    AddKeyList: lambda op: ("key", op.typename, tuple(op.key)),
-    DeleteKeyList: lambda op: ("key", op.typename, tuple(op.key)),
-    AddSupertype: lambda op: ("supertype", op.typename, op.supertype),
-    DeleteSupertype: lambda op: ("supertype", op.typename, op.supertype),
-    AddExtentName: lambda op: ("extent", op.typename),
-    DeleteExtentName: lambda op: ("extent", op.typename),
-}
-
-_DEAD_PAIRS = {
-    AddTypeDefinition: DeleteTypeDefinition,
-    AddAttribute: DeleteAttribute,
-    AddOperation: DeleteOperation,
-    AddKeyList: DeleteKeyList,
-    AddSupertype: DeleteSupertype,
-    AddExtentName: DeleteExtentName,
-}
-
-
-def _dead_pair(
-    first: SchemaOperation, second: SchemaOperation
-) -> bool:
-    """True when *second* exactly deletes what *first* added."""
-    expected = _DEAD_PAIRS.get(type(first))
-    if expected is None or type(second) is not expected:
-        return False
-    key_of = _DEAD_PAIR_KEYS[type(first)]
-    if key_of(first) != _DEAD_PAIR_KEYS[type(second)](second):
-        return False
-    if isinstance(first, AddExtentName):
-        # delete_extent_name checks the extent value, not just presence.
-        return first.extent_name == second.extent_name
-    return True
-
-
-def _fuse(
-    first: SchemaOperation, second: SchemaOperation
-) -> SchemaOperation | None:
-    """A single op equivalent to *first* then *second*, or ``None``.
-
-    Fusions returning an identity rewrite (e.g. a modify chain that
-    lands back on the original value) yield an op the caller can still
-    detect as dead via :func:`_identity_op`.
-    """
-    if (
-        isinstance(first, AddAttribute)
-        and isinstance(second, ModifyAttributeType)
-        and first.typename == second.typename
-        and first.attribute_name == second.attribute_name
-        and first.domain_type == second.old_type
-    ):
-        return AddAttribute(
-            first.typename, second.new_type, first.attribute_name
-        )
-    if (
-        isinstance(first, ModifyAttributeType)
-        and isinstance(second, ModifyAttributeType)
-        and first.typename == second.typename
-        and first.attribute_name == second.attribute_name
-        and first.new_type == second.old_type
-    ):
-        return ModifyAttributeType(
-            first.typename, first.attribute_name,
-            first.old_type, second.new_type,
-        )
-    if (
-        isinstance(first, AddExtentName)
-        and isinstance(second, ModifyExtentName)
-        and first.typename == second.typename
-        and first.extent_name == second.old_extent_name
-    ):
-        return AddExtentName(first.typename, second.new_extent_name)
-    if (
-        isinstance(first, ModifyExtentName)
-        and isinstance(second, ModifyExtentName)
-        and first.typename == second.typename
-        and first.new_extent_name == second.old_extent_name
-    ):
-        return ModifyExtentName(
-            first.typename, first.old_extent_name, second.new_extent_name
-        )
-    return None
-
-
-def _identity_op(operation: SchemaOperation) -> bool:
-    """Fusion products that change nothing and can be dropped outright."""
-    if isinstance(operation, ModifyAttributeType):
-        return operation.old_type == operation.new_type
-    if isinstance(operation, ModifyExtentName):
-        return operation.old_extent_name == operation.new_extent_name
-    return False
-
-
-def _commutable_to_adjacency(
-    signatures: list[EffectSignature], first: int, second: int,
-    group: set[int] | None = None,
-) -> bool:
-    """Can ops ``first``..``second`` (minus *group*) be slid apart?
-
-    True when no op strictly between conflicts with either endpoint (or
-    any *group* member): the endpoints can then be commuted next to each
-    other, where the rewrite is locally justified.
-    """
-    members = group if group is not None else {first, second}
-    for k in range(first + 1, second):
-        if k in members:
-            continue
-        if any(
-            signatures[k].conflicts_with(signatures[g]) is not None
-            for g in members
-        ):
-            return False
-    return True
-
-
-def normalize_plan(
-    plan: list[SchemaOperation],
-    signatures: list[EffectSignature] | None = None,
-) -> tuple[list[SchemaOperation], list[str]]:
-    """Rewrite the plan without changing what it computes.
-
-    Three rewrites, each applied only when the ops involved are
-    commutable to adjacency under the conflict relation:
-
-    * **type-group elimination** -- ``add_type_definition(N)`` ...
-      ``delete_type_definition(N)`` plus every op between confined to
-      ``N`` disappears wholesale;
-    * **dead pairs** -- add→delete of the same construct (attribute,
-      operation, key, supertype, extent) disappears;
-    * **fusion** -- add+modify and modify+modify chains over the same
-      construct collapse into one op (identity chains are dropped).
-
-    Assumes the plan is *applicable* (pre-flight clean and dynamically
-    valid); :func:`analyze_plan` only normalizes diagnostic-free plans.
-    """
-    operations = list(plan)
-    notes: list[str] = []
-    current = (
-        list(signatures)
-        if signatures is not None and len(signatures) == len(operations)
-        else [operation.effect_signature() for operation in operations]
-    )
-    changed = True
-    while changed:
-        changed = False
-        rewrite = _find_type_group(operations, current)
-        if rewrite is not None:
-            group, name = rewrite
-            notes.append(
-                f"eliminated add→delete group of type {name!r} "
-                f"({len(group)} op(s))"
-            )
-            operations = [
-                operation
-                for index, operation in enumerate(operations)
-                if index not in group
-            ]
-            current = [
-                signature
-                for index, signature in enumerate(current)
-                if index not in group
-            ]
-            changed = True
-            continue
-        rewrite = _find_peephole(operations, current)
-        if rewrite is not None:
-            first, second, replacement, note = rewrite
-            notes.append(note)
-            kept: list[SchemaOperation] = []
-            kept_signatures: list[EffectSignature] = []
-            for index, operation in enumerate(operations):
-                if index == second:
-                    continue
-                if index == first:
-                    if replacement is not None:
-                        kept.append(replacement)
-                        kept_signatures.append(
-                            replacement.effect_signature()
-                        )
-                    continue
-                kept.append(operation)
-                kept_signatures.append(current[index])
-            operations = kept
-            current = kept_signatures
-            changed = True
-    return operations, notes
-
-
-def _find_type_group(
-    operations: list[SchemaOperation],
-    signatures: list[EffectSignature],
-) -> tuple[set[int], str] | None:
-    for first, operation in enumerate(operations):
-        if not isinstance(operation, AddTypeDefinition):
-            continue
-        name = operation.typename
-        for second in range(first + 1, len(operations)):
-            candidate = operations[second]
-            if (
-                isinstance(candidate, DeleteTypeDefinition)
-                and candidate.typename == name
-            ):
-                group = {first, second}
-                for k in range(first + 1, second):
-                    if signatures[k].mentioned_names() <= {name}:
-                        group.add(k)
-                if _commutable_to_adjacency(
-                    signatures, first, second, group
-                ):
-                    return group, name
-                break
-    return None
-
-
-def _peephole_keys(operation: SchemaOperation) -> list[tuple]:
-    """Construct keys under which *operation* can pair with another op."""
-    keys: list[tuple] = []
-    key_of = _DEAD_PAIR_KEYS.get(type(operation))
-    if key_of is not None:
-        keys.append(key_of(operation))
-    if isinstance(operation, (AddAttribute, ModifyAttributeType)):
-        keys.append(
-            ("attr-chain", operation.typename, operation.attribute_name)
-        )
-    if isinstance(operation, (AddExtentName, ModifyExtentName)):
-        keys.append(("extent-chain", operation.typename))
-    return keys
-
-
-def _find_peephole(
-    operations: list[SchemaOperation],
-    signatures: list[EffectSignature],
-) -> tuple[int, int, SchemaOperation | None, str] | None:
-    buckets: dict[tuple, list[int]] = {}
-    for index, operation in enumerate(operations):
-        for key in _peephole_keys(operation):
-            buckets.setdefault(key, []).append(index)
-    pairs = sorted({
-        (first, second)
-        for indices in buckets.values()
-        for position, first in enumerate(indices)
-        for second in indices[position + 1:]
-    })
-    for first, second in pairs:
-        if _dead_pair(operations[first], operations[second]):
-            if _commutable_to_adjacency(signatures, first, second):
-                return (
-                    first, second, None,
-                    f"eliminated dead pair op[{first}]+op[{second}] "
-                    f"({operations[first].op_name} → "
-                    f"{operations[second].op_name})",
-                )
-            continue
-        fused = _fuse(operations[first], operations[second])
-        if fused is None:
-            continue
-        if not _commutable_to_adjacency(signatures, first, second):
-            continue
-        if _identity_op(fused):
-            return (
-                first, second, None,
-                f"dropped identity chain op[{first}]+op[{second}] "
-                f"({fused.op_name} back to the original value)",
-            )
-        return (
-            first, second, fused,
-            f"fused op[{first}]+op[{second}] into {fused.to_text()}",
-        )
-    return None
-
-
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -644,42 +291,24 @@ def analyze_plan(
     plan: list[SchemaOperation],
     schema: Schema | None = None,
     kind: ConceptKind | None = None,
-    normalize: bool = True,
     edges: bool = True,
 ) -> PlanAnalysis:
     """Statically analyze *plan* against *schema* (never mutated).
 
     With *kind*, each op is additionally checked against the Table 1
-    admissibility matrix for that concept-schema type.  Normalization
-    and batching run only when pre-flight reports no diagnostics -- a
-    failing plan is reported as-is, with indices into the original.
+    admissibility matrix for that concept-schema type.
 
-    ``edges=False`` skips the O(n^2) conflict-edge graph; diagnostics,
-    normalization, and batches are unaffected (they use pairwise
-    conflict checks directly).  :meth:`Workspace.apply_plan` uses this
-    -- it consumes only diagnostics and batches.
+    ``edges=False`` skips the O(n^2) conflict-edge graph; diagnostics
+    are unaffected.  :meth:`Workspace.apply_plan` uses this -- it
+    consumes only the diagnostics.
     """
     operations = list(plan)
     signatures = [operation.effect_signature() for operation in operations]
-    conflict_graph = conflict_edges(signatures) if edges else []
-    diagnostics = _preflight(operations, signatures, schema, kind)
-    normalized = operations
-    notes: list[str] = []
-    if not diagnostics and normalize:
-        normalized, notes = normalize_plan(operations, signatures)
-    batches: list[list[SchemaOperation]] = []
-    if not diagnostics:
-        batches = partition_batches(
-            normalized, signatures if not notes else None
-        )
     return PlanAnalysis(
         plan=operations,
         signatures=signatures,
-        edges=conflict_graph,
-        diagnostics=diagnostics,
-        normalized=normalized,
-        notes=notes,
-        batches=batches,
+        edges=conflict_edges(signatures) if edges else [],
+        diagnostics=_preflight(operations, signatures, schema, kind),
     )
 
 
@@ -689,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis.plan",
         description=(
             "Static pre-flight analysis of a modification plan: effect "
-            "signatures, conflict edges, diagnostics, normalization, "
-            "and validation batches."
+            "signatures, conflict edges, and diagnostics."
         ),
     )
     parser.add_argument(

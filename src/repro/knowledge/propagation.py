@@ -88,10 +88,13 @@ def expand(
     # sharing every interface with *schema*, and only the types the
     # cascading plan actually touches materialise (via ``Schema.edit``
     # in the op bodies) -- O(changed) instead of O(types) per expansion.
+    # The scratch is thrown away, so its undo closures are never run.
     scratch = schema.fork()
     try:
         plan: list[SchemaOperation] = []
-        _expand_into(scratch, operation, context, plan, depth=0)
+        _expand_applying_into(
+            scratch, operation, context, plan, [], None, depth=0
+        )
         return plan
     finally:
         # The scratch dies here; eagerly unregister its CoW borrow so
@@ -162,7 +165,8 @@ def direct_cascades(
     """The immediate follow-up operations *operation* requires.
 
     These are computed from the current schema state; cascades may
-    themselves require further cascades (handled by :func:`expand`).
+    themselves require further cascades (handled by
+    :func:`expand_applying`).
     """
     if isinstance(operation, DeleteTypeDefinition):
         return _cascades_for_delete_type(schema, operation.typename)
@@ -193,23 +197,6 @@ def direct_cascades(
                 )
         return cascades
     return []
-
-
-def _expand_into(
-    scratch: Schema,
-    operation: SchemaOperation,
-    context: OperationContext,
-    plan: list[SchemaOperation],
-    depth: int,
-) -> None:
-    if depth > 100:  # cycles are impossible for shrinking cascades; guard anyway
-        raise RuntimeError(
-            f"propagation for {operation.to_text()} did not converge"
-        )
-    for cascade in direct_cascades(scratch, operation):
-        _expand_into(scratch, cascade, context, plan, depth + 1)
-    operation.apply(scratch, context)
-    plan.append(operation)
 
 
 def _cascades_for_delete_type(

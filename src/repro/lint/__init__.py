@@ -13,13 +13,13 @@ reified artifacts (DESIGN.md §5k):
   (:class:`~repro.lint.loader.Codebase`), shared by every pass;
 * :mod:`repro.lint.callgraph` -- the transitive call-graph resolver
   (same-class methods over the MRO, module-level helpers, nested
-  closures) both legacy ``tools/`` scripts used to reimplement;
+  closures);
 * :mod:`repro.lint.findings` -- the finding model (stable rule ids,
   ``file:line`` anchors) and the checked-in baseline/suppression file;
 * :mod:`repro.lint.registry` -- pass registration and the single-run
   driver behind ``python -m repro.lint``;
 * :mod:`repro.lint.passes` -- the six contract passes (spine emission /
-  CoW barrier / compiled plan, effect declarations, read-scope
+  CoW barrier, effect declarations, read-scope
   soundness, reference-spec independence, instance-impact honesty,
   silent-mutation detection).
 

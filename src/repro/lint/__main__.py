@@ -14,11 +14,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.findings import Baseline, render_json, render_text
+from repro.lint.findings import (
+    DEFAULT_BASELINE,
+    Baseline,
+    render_json,
+    render_text,
+)
 from repro.lint.loader import DEFAULT_SRC, Codebase
 from repro.lint.registry import LintContext, all_passes, run_passes
-
-DEFAULT_BASELINE = DEFAULT_SRC.parent / "tools" / "lint_baseline.txt"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.lint.loader import DEFAULT_SRC
+
 SEVERITIES = ("error", "warning")
+
+#: The checked-in baseline, in ``tools/`` beside the ``src/`` tree.
+DEFAULT_BASELINE = DEFAULT_SRC.parent / "tools" / "lint_baseline.txt"
 
 
 @dataclass(frozen=True)

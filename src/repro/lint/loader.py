@@ -1,12 +1,9 @@
 """One AST load of the codebase, shared by every lint pass.
 
-The legacy ``tools/`` scripts each re-read and re-parsed the model
-sources (and each re-derived ``SRC = Path(__file__)...`` to find them).
-:class:`Codebase` centralises that: it walks a package root once,
-parses every module with the stdlib :mod:`ast`, and exposes a uniform
-view -- module trees, top-level classes and functions, import aliases,
-and a static MRO walk -- that the call-graph resolver and the passes
-build on.
+:class:`Codebase` walks a package root once, parses every module with
+the stdlib :mod:`ast`, and exposes a uniform view -- module trees,
+top-level classes and functions, import aliases, and a static MRO
+walk -- that the call-graph resolver and the passes build on.
 
 Two constructors matter:
 

@@ -1,9 +1,6 @@
-"""Spine pass: mutators emit, open with the CoW barrier, compiled plans
-mutate only through the sanctioned calls.
+"""Spine pass: mutators emit and open with the CoW barrier.
 
-Migrated from ``tools/check_mutators.py`` (which is now a thin shim over
-this module), behaviour-identical but sourced from the shared
-:class:`~repro.lint.loader.Codebase` load:
+Sourced from the shared :class:`~repro.lint.loader.Codebase` load:
 
 * ``spine-emission`` -- every public mutator method (``add_*`` /
   ``remove_*`` / ``replace_*`` / ``set_*`` / ``insert_*`` /
@@ -14,10 +11,6 @@ this module), behaviour-identical but sourced from the shared
   ``self._cow_barrier()`` as its literal first statement (after the
   docstring), so borrowers settle before the first divergent write
   (DESIGN.md 5j).
-* ``compiled-plan`` -- ``Workspace.apply_plan_compiled`` calls
-  ``expand_applying`` and ``self._note_scopes``, and no reachable
-  ``Workspace`` method calls a mutator-prefixed method or writes a
-  container by subscript (DESIGN.md 5g).
 """
 
 from __future__ import annotations
@@ -46,10 +39,6 @@ EMISSION_TARGETS = {
 
 #: module -> class whose public mutators must run the CoW fault hook first
 COW_BARRIER_TARGETS = {"repro.model.interface": "InterfaceDef"}
-
-COMPILED_MODULE = "repro.repository.workspace"
-COMPILED_CLASS = "Workspace"
-COMPILED_ENTRY = "apply_plan_compiled"
 
 
 def is_public_mutator(name: str) -> bool:
@@ -118,29 +107,6 @@ def _emitting_methods(methods: dict[str, ast.FunctionDef]) -> set[str]:
     return emitting
 
 
-def _reachable_methods(
-    methods: dict[str, ast.FunctionDef], entry: str
-) -> dict[str, ast.FunctionDef]:
-    """*entry* plus every same-class method reachable via ``self.``."""
-    frontier = [entry]
-    reached: dict[str, ast.FunctionDef] = {}
-    while frontier:
-        name = frontier.pop()
-        if name in reached or name not in methods:
-            continue
-        reached[name] = methods[name]
-        frontier.extend(_self_calls(methods[name]))
-    return reached
-
-
-def _call_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
 def _starts_with_cow_barrier(function: ast.FunctionDef) -> bool:
     """True when ``self._cow_barrier()`` is the first real statement."""
     body = function.body
@@ -197,13 +163,6 @@ def emission_findings(
     return findings
 
 
-def count_public_mutators(
-    codebase: Codebase, module_name: str, class_name: str
-) -> int:
-    methods = _own_methods(codebase, module_name, class_name)
-    return sum(1 for name in methods if is_public_mutator(name))
-
-
 def cow_findings(
     codebase: Codebase, module_name: str, class_name: str
 ) -> list[Finding]:
@@ -235,105 +194,12 @@ def cow_findings(
     return findings
 
 
-def compiled_plan_findings(
-    codebase: Codebase,
-    module_name: str = COMPILED_MODULE,
-    class_name: str = COMPILED_CLASS,
-    entry_name: str = COMPILED_ENTRY,
-) -> list[Finding]:
-    """The compiled-plan path mutates only through the sanctioned calls.
-
-    The entry must reach ``expand_applying`` (every mutation is a
-    ``step.apply`` inside it, emitting the same records the per-op path
-    emits) and ``self._note_scopes`` (the same per-step scope notes).
-    Conversely, no method reachable from it may call a mutator-prefixed
-    method or store/delete through a subscript.
-    """
-    methods = _own_methods(codebase, module_name, class_name)
-    path = _path_of(codebase, module_name)
-    symbol_base = f"{module_name}:{class_name}"
-    if entry_name not in methods:
-        return [
-            Finding(
-                rule="compiled-plan",
-                path=path,
-                line=1,
-                symbol=f"{symbol_base}.{entry_name}",
-                message=f"{class_name}.{entry_name} not found",
-            )
-        ]
-    entry = methods[entry_name]
-    findings: list[Finding] = []
-    called = {
-        _call_name(node)
-        for node in ast.walk(entry)
-        if isinstance(node, ast.Call)
-    }
-    for required in ("expand_applying", "_note_scopes"):
-        if required not in called:
-            findings.append(
-                Finding(
-                    rule="compiled-plan",
-                    path=path,
-                    line=entry.lineno,
-                    symbol=f"{symbol_base}.{entry_name}",
-                    message=(
-                        f"no longer calls {required}; the compiled pass must "
-                        "mutate through expand_applying and note each step's "
-                        "scope"
-                    ),
-                )
-            )
-    for name, function in sorted(_reachable_methods(methods, entry_name).items()):
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                target = _call_name(node)
-                if target is not None and target.startswith(MUTATOR_PREFIXES):
-                    findings.append(
-                        Finding(
-                            rule="compiled-plan",
-                            path=path,
-                            line=node.lineno,
-                            symbol=f"{symbol_base}.{name}",
-                            message=(
-                                f"(reachable from {entry_name}) calls mutator "
-                                f"{target!r}; compiled plans must mutate only "
-                                "via expand_applying"
-                            ),
-                        )
-                    )
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    findings.append(
-                        Finding(
-                            rule="compiled-plan",
-                            path=path,
-                            line=node.lineno,
-                            symbol=f"{symbol_base}.{name}",
-                            message=(
-                                f"(reachable from {entry_name}) writes a "
-                                "container by subscript; compiled plans must "
-                                "not mutate model state outside expand_applying"
-                            ),
-                        )
-                    )
-    return findings
-
-
 @register_pass(
     "spine",
-    rules=("spine-emission", "cow-barrier", "compiled-plan"),
+    rules=("spine-emission", "cow-barrier"),
     contract=(
-        "every public mutator emits a MutationRecord, InterfaceDef mutators "
-        "open with the CoW barrier, and compiled plans mutate only via "
-        "expand_applying + _note_scopes"
+        "every public mutator emits a MutationRecord and InterfaceDef "
+        "mutators open with the CoW barrier"
     ),
 )
 def run(context: LintContext) -> list[Finding]:
@@ -342,5 +208,4 @@ def run(context: LintContext) -> list[Finding]:
         findings.extend(emission_findings(context.codebase, module_name, class_name))
     for module_name, class_name in COW_BARRIER_TARGETS.items():
         findings.extend(cow_findings(context.codebase, module_name, class_name))
-    findings.extend(compiled_plan_findings(context.codebase))
     return findings

@@ -86,7 +86,7 @@ class SchemaIndex:
 
     ``scope`` records are declarative annotations (belt-and-suspenders
     for the validation journal's dirty-name set); actual content changes
-    always land as mutator records (``tools/check_mutators.py`` and the
+    always land as mutator records (the ``spine`` lint pass and the
     spine differentials enforce this), so they advance no clock here.
     Lossy records (``touch`` / unknown kinds) invalidate everything.
     """

@@ -12,9 +12,9 @@ that they are validated, logged, and reversible -- the methods here are
 the primitive storage layer those operations use.
 
 Every mutator emits one :class:`~repro.model.mutation.MutationRecord`
-onto each owning schema's mutation spine (``tools/check_mutators.py``
-enforces this), so cache layers never hear about changes through any
-other channel.
+onto each owning schema's mutation spine (the ``spine`` lint pass,
+``python -m repro.lint``, enforces this), so cache layers never hear
+about changes through any other channel.
 """
 
 from __future__ import annotations
@@ -242,8 +242,8 @@ class InterfaceDef:
     def _cow_barrier(self) -> None:
         """Materialise every borrower before this interface changes.
 
-        The first statement of every mutator (AST-enforced by
-        ``tools/check_mutators.py``): per-interface claims freeze their
+        The first statement of every mutator (AST-enforced by the
+        ``spine`` lint pass): per-interface claims freeze their
         copy against the still-unmutated state, and schema-level borrows
         (CoW forks) registered on the owning spines privatise the
         interface into any live fork still sharing it.  Dead borrowers

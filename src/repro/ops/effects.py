@@ -8,14 +8,14 @@ reads while validating, and how it changes the schema's name bindings
 (interfaces it creates, deletes, or requires to exist).
 
 Signatures are the substrate of :mod:`repro.analysis.plan` -- the
-def-use/conflict graph, the pre-flight diagnostics, and the
-commutativity batching are all computed from them.  They are *derived
+def-use/conflict graph and the pre-flight diagnostics are computed
+from them.  They are *derived
 from* the existing ``validation_scope()`` machinery (the default write
 footprint is ``affected_types() x touched_aspects``) and *cross-checked
 against* it: :func:`signature_scope_violations` asserts that no
 declared write escapes the scope the incremental validator is told
-about, and ``tools/check_effects.py`` verifies at lint time that the
-declared aspects cover every mutator kind ``apply``/``undo`` can emit.
+about, and the ``effects`` lint pass verifies that the declared
+aspects cover every mutator kind ``apply``/``undo`` can emit.
 
 Precision contract (what the analyzer is allowed to assume):
 

@@ -148,14 +148,14 @@ def repository_from_dict(data: dict) -> SchemaRepository:
     # customization; recreate each one as soon as the workspace reaches
     # the position it was extracted at, so the views (and the operations
     # issued through them) see the same state as in the original session.
+    # A view extracted before its operations were undone sits past the
+    # last saved operation; it is recreated at the end.
     pending_views = sorted(
         data.get("views", []), key=lambda record: record["position"]
     )
 
-    def replay_views() -> None:
-        while pending_views and pending_views[0]["position"] <= len(
-            repository.workspace.log
-        ):
+    def replay_views(until: float) -> None:
+        while pending_views and pending_views[0]["position"] <= until:
             record = pending_views.pop(0)
             spokes = record.get("spoke_paths")
             attributes = record.get("attribute_names")
@@ -166,15 +166,16 @@ def repository_from_dict(data: dict) -> SchemaRepository:
                 tuple(attributes) if attributes is not None else None,
             )
 
-    replay_views()
-    for record in data["operations"]:
+    replay_views(0)
+    for position, record in enumerate(data["operations"], start=1):
         operation = parse_operation(record["text"])
         repository.apply(
             operation,
             concept_id=record.get("concept_id"),
             propagate=record.get("propagated", True),
         )
-        replay_views()
+        replay_views(position)
+    replay_views(float("inf"))
     for path, local_name in data.get("local_names", {}).items():
         repository.local_names.set_alias(
             path, local_name, repository.workspace.schema

@@ -24,10 +24,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.concepts.base import ConceptSchema
 from repro.knowledge.constraints import cautions_for
 from repro.knowledge.feedback import Feedback, info
-from repro.knowledge.propagation import expand, expand_applying
+from repro.knowledge.propagation import expand_applying
 from repro.model.errors import SchemaError
 from repro.model.mutation import MutationLog
 from repro.model.schema import Schema
@@ -106,10 +106,10 @@ class Workspace:
         #: ``validate_each_step`` is off.
         self.validate_each_step = validate_each_step
         self.issues: list[Issue] = []
-        #: Last plan analysis, keyed by (plan fingerprint, concept kind,
-        #: normalize flag) and stamped with the spine it was computed
-        #: against -- retrying a rejected plan reuses it instead of
-        #: re-running the whole static analysis.
+        #: Last plan analysis, keyed by (plan fingerprint, concept kind)
+        #: and stamped with the spine it was computed against -- retrying
+        #: a rejected plan reuses it instead of re-running the whole
+        #: static analysis.
         self._analysis_memo: tuple | None = None
         self._refresh_issues()
 
@@ -149,126 +149,55 @@ class Workspace:
         With ``propagate`` disabled, the operation is applied bare; it
         then fails whenever its own constraints require cascades first.
         The ablation bench uses this to quantify what the propagation
-        rules buy.
+        rules buy.  A one-op :meth:`apply_plan` without the pre-flight:
+        an invalid operation raises its own
+        :class:`~repro.ops.base.OperationError`.
         """
-        return self._apply_entry(operation, concept, propagate, refresh=True)
-
-    def _apply_entry(
-        self,
-        operation: SchemaOperation,
-        concept: ConceptSchema | None,
-        propagate: bool,
-        refresh: bool,
-    ) -> LogEntry:
-        if concept is not None:
-            check_admissible(operation, concept.kind)
-        if propagate:
-            plan = expand(self.schema, operation, self.context)
-        else:
-            plan = [operation]
-        feedback: list[Feedback] = []
-        for step in plan:
-            feedback.extend(cautions_for(self.schema, step))
-        undos: list[Undo] = []
-        try:
-            for step in plan:
-                undos.append(step.apply(self.schema, self.context))
-        except (OperationError, SchemaError):
-            # Operations reject with OperationError; a model-layer
-            # SchemaError (unknown type, duplicate name) escaping an
-            # op's validate is the same verdict -- either way the
-            # workspace must be left exactly as it was.
-            for undo in reversed(undos):
-                undo()
-            raise
-        for step in plan:
-            if step is not operation:
-                feedback.append(
-                    info(
-                        "cascaded", step.to_text(),
-                        f"performed automatically for {operation.op_name}",
-                    )
-                )
-        entry = LogEntry(
-            requested=operation,
-            plan=plan,
-            undos=undos,
-            concept_id=concept.identifier if concept else None,
-            feedback=feedback,
-            propagated=propagate,
-        )
-        self.log.append(entry)
-        self._redo_stack.clear()
-        self._note_scopes(plan)
-        if refresh:
-            self._refresh_issues()
-        return entry
+        return self._run([operation], concept, propagate)[0]
 
     def apply_plan(
         self,
         plan: list[SchemaOperation],
         concept: ConceptSchema | None = None,
         propagate: bool = True,
-        normalize: bool = True,
     ) -> list[LogEntry]:
-        """Pre-flight, normalize, and apply a whole plan at once.
+        """Pre-flight and apply a whole plan, all or nothing.
 
         The plan is first vetted statically
         (:func:`repro.analysis.plan.analyze_plan` against the current
         schema and, when *concept* is given, its Table 1 kind); if any
         diagnostic fires, :class:`~repro.analysis.plan.PlanPreflightError`
-        is raised before anything runs.  A clean plan is normalized
-        (unless ``normalize`` is off) and applied batch by batch: every
-        op still goes through the full :meth:`apply` machinery
-        (admissibility, propagation, cautions, one log entry each), but
-        the per-step validation runs once per *batch* of commuting ops
-        instead of once per op -- the paper's validate-after-every-
-        operation loop at a fraction of the cost.
+        is raised before anything runs.  A clean plan then runs op by op
+        exactly as :meth:`apply` runs one op -- admissibility,
+        propagation, cautions, one log entry each -- and the schema is
+        validated once, after the last op.
 
-        Returns one :class:`LogEntry` per *executed* (normalized) op.
-        If any op fails dynamically mid-plan, everything applied so far
-        is undone and the error re-raised, leaving the workspace as it
-        was.
+        Returns one :class:`LogEntry` per op.  If any op fails
+        dynamically mid-plan, everything applied so far is undone and
+        the error re-raised, leaving the schema, the history and
+        :attr:`issues` as they were.
         """
         from repro.analysis.plan import PlanPreflightError
 
         kind = concept.kind if concept is not None else None
-        analysis = self._analyzed(plan, kind, normalize)
+        analysis = self._analyzed(plan, kind)
         if analysis.diagnostics:
             raise PlanPreflightError(analysis.diagnostics)
-        entries: list[LogEntry] = []
-        try:
-            for batch in analysis.batches:
-                for operation in batch:
-                    if propagate:
-                        entries.append(self._apply_fast(operation, concept))
-                    else:
-                        entries.append(self._apply_entry(
-                            operation, concept, propagate, refresh=False
-                        ))
-                self._refresh_issues()
-        except (OperationError, SchemaError):
-            for _ in entries:
-                self.undo_last()
-            self._redo_stack.clear()
-            self._refresh_issues()
-            raise
-        return entries
+        return self._run(plan, concept, propagate)
 
-    def _analyzed(self, plan, kind, normalize: bool):
+    def _analyzed(self, plan, kind):
         """Plan analysis, memoized on (plan fingerprint, spine seq).
 
         A rejected plan raises :class:`~repro.analysis.plan.
         PlanPreflightError` *before* anything mutates, so the schema's
         spine seq is unchanged on retry and the (deterministic) analysis
-        can be reused wholesale -- it is ~19% of batched apply time
-        (BENCH_PR5.json ``plan_analyze_fraction``).  Any mutation bumps
-        the seq and naturally invalidates the memo.  Hits and misses are
-        counted in ``Schema.stats()`` (``analysis.hits`` / ``.misses``).
+        can be reused wholesale.  Any mutation bumps the seq and
+        naturally invalidates the memo.  Hits and misses are counted in
+        ``Schema.stats()`` (``analysis.hits`` / ``.misses``).
         """
         from repro.analysis.plan import analyze_plan
 
-        key = (tuple(op.to_text() for op in plan), kind, normalize)
+        key = (tuple(op.to_text() for op in plan), kind)
         log = self.schema.log
         memo = self._analysis_memo
         if (
@@ -280,119 +209,78 @@ class Workspace:
             self.schema.note_analysis_cache(True)
             return memo[3]
         self.schema.note_analysis_cache(False)
-        analysis = analyze_plan(
-            plan, self.schema, kind=kind, normalize=normalize, edges=False
-        )
+        analysis = analyze_plan(plan, self.schema, kind=kind, edges=False)
         self._analysis_memo = (key, log, log.seq, analysis)
         return analysis
 
-    def apply_plan_compiled(
+    def _run(
         self,
-        plan: list[SchemaOperation],
-        concept: ConceptSchema | None = None,
-        normalize: bool = True,
+        operations: list[SchemaOperation],
+        concept: ConceptSchema | None,
+        propagate: bool,
     ) -> list[LogEntry]:
-        """The fused compiled-plan path: one mutation pass, one validate.
+        """The plan engine: apply *operations* in order, all or nothing.
 
-        Same pre-flight and normalization as :meth:`apply_plan`, but the
-        clean, batched plan is then *compiled down* to a single pass:
-        every op (with its cascades) mutates the live schema through
-        :func:`~repro.knowledge.propagation.expand_applying` exactly as
-        the per-op path does, and validation runs once at the end
-        instead of once per batch.  Designer feedback (cautions,
-        cascade notes) is skipped -- this path is for bulk application
-        where the pre-flight already vetted the plan, e.g. replaying a
-        reviewed script onto a 10k-type schema.
-
-        The emitted ``MutationRecord`` stream is identical to the
-        per-op path's, record for record: all mutation flows through the
-        same ``step.apply`` calls inside ``expand_applying`` followed by
-        the same per-step scope notes (``tools/check_mutators.py``
-        AST-checks this path mutates through no other channel).  On a
-        dynamic failure mid-pass, every applied undo closure runs in
-        reverse and the error is re-raised with the history untouched.
+        Each operation is checked for admissibility in *concept*, then
+        expanded and applied in one pass
+        (:func:`~repro.knowledge.propagation.expand_applying`).  Its
+        feedback is the cautions of every cascaded step, each judged
+        against the schema that step applies to, then the requested
+        operation's own cautions, judged before any cascade ran, then
+        one ``cascaded`` info per cascaded step.  On success the entries
+        are logged, the redo stack is cleared and the schema validated
+        once; on any exception every applied step is undone and the
+        error re-raised with the history and :attr:`issues` untouched.
         """
-        from repro.analysis.plan import PlanPreflightError
-
-        kind = concept.kind if concept is not None else None
-        analysis = self._analyzed(plan, kind, normalize)
-        if analysis.diagnostics:
-            raise PlanPreflightError(analysis.diagnostics)
-        concept_id = concept.identifier if concept else None
         entries: list[LogEntry] = []
         try:
-            for batch in analysis.batches:
-                for operation in batch:
-                    if concept is not None:
-                        check_admissible(operation, concept.kind)
-                    step_plan, undos = expand_applying(
-                        self.schema, operation, self.context
-                    )
-                    entries.append(
-                        LogEntry(
-                            requested=operation,
-                            plan=step_plan,
-                            undos=undos,
-                            concept_id=concept_id,
-                            feedback=[],
-                            propagated=True,
-                        )
-                    )
-                    self._note_scopes(step_plan)
-        except (OperationError, SchemaError):
-            for entry in reversed(entries):
-                for undo in reversed(entry.undos):
-                    undo()
-                self._note_scopes(entry.plan)
-            self._refresh_issues()
-            raise
-        self.log.extend(entries)
-        self._redo_stack.clear()
-        self._refresh_issues()
-        return entries
+            for operation in operations:
+                if concept is not None:
+                    check_admissible(operation, concept.kind)
+                requested = cautions_for(self.schema, operation)
+                feedback: list[Feedback] = []
+                if propagate:
 
-    def _apply_fast(
-        self, operation: SchemaOperation, concept: ConceptSchema | None
-    ) -> LogEntry:
-        """:meth:`apply` minus the scratch-copy expansion and validation.
+                    def cascade_cautions(step):
+                        if step is not operation:
+                            feedback.extend(cautions_for(self.schema, step))
 
-        Used by :meth:`apply_plan` only: cascades are computed against
-        the live schema and applied in the same breath
-        (:func:`~repro.knowledge.propagation.expand_applying`), which is
-        safe there because the op either completes with undo closures
-        recorded or rolls itself back.  Cautions are consequently
-        evaluated against the state each step actually applies to, and
-        the caller is responsible for refreshing validation.
-        """
-        if concept is not None:
-            check_admissible(operation, concept.kind)
-        feedback: list[Feedback] = []
-        plan, undos = expand_applying(
-            self.schema, operation, self.context,
-            before_step=lambda step: feedback.extend(
-                cautions_for(self.schema, step)
-            ),
-        )
-        for step in plan:
-            if step is not operation:
-                feedback.append(
+                    plan, undos = expand_applying(
+                        self.schema, operation, self.context,
+                        before_step=cascade_cautions,
+                    )
+                else:
+                    plan = [operation]
+                    undos = [operation.apply(self.schema, self.context)]
+                feedback.extend(requested)
+                feedback.extend(
                     info(
                         "cascaded", step.to_text(),
                         f"performed automatically for {operation.op_name}",
                     )
+                    for step in plan
+                    if step is not operation
                 )
-        entry = LogEntry(
-            requested=operation,
-            plan=plan,
-            undos=undos,
-            concept_id=concept.identifier if concept else None,
-            feedback=feedback,
-            propagated=True,
-        )
-        self.log.append(entry)
-        self._redo_stack.clear()
-        self._note_scopes(plan)
-        return entry
+                self._note_scopes(plan)
+                entries.append(LogEntry(
+                    requested=operation,
+                    plan=plan,
+                    undos=undos,
+                    concept_id=concept.identifier if concept else None,
+                    feedback=feedback,
+                    propagated=propagate,
+                ))
+        except BaseException:
+            for entry in reversed(entries):
+                for undo in reversed(entry.undos):
+                    undo()
+                self._note_scopes(entry.plan)
+            raise
+        if entries:  # an empty plan changes nothing and keeps the redo stack
+            self.log.extend(entries)
+            self._redo_stack.clear()
+            self._refresh_issues()
+        return entries
 
     def preview(self, plan: list[SchemaOperation], concept=None):
         """What data a pending plan newly admits or forbids; mutates nothing.
@@ -417,31 +305,18 @@ class Workspace:
     ) -> list[LogEntry]:
         """Apply a composite operation (a macro of primitives).
 
-        Each primitive of the expanded plan is applied -- and logged --
-        through the normal :meth:`apply` path, so propagation, feedback,
-        undo, and persistence all keep working at the primitive level.
-        If a later primitive fails, the earlier ones are undone and the
-        error re-raised, leaving the workspace unchanged.
+        The composite expands against the current schema into a plan of
+        primitives, which runs through the same engine as
+        :meth:`apply_plan` (without the pre-flight): one log entry per
+        primitive, so propagation, feedback, undo, and persistence all
+        keep working at the primitive level.  If a later primitive
+        fails, the earlier ones are undone and the error re-raised,
+        leaving the workspace unchanged.
         """
-        plan = composite.expand_plan(self.schema, self.context)
-        entries: list[LogEntry] = []
-        try:
-            for operation in plan:
-                entries.append(self.apply(operation, concept, propagate))
-        except (OperationError, SchemaError):
-            for _ in entries:
-                self.undo_last()
-            self._redo_stack.clear()
-            raise
-        return entries
-
-    def apply_kind_checked(
-        self, operation: SchemaOperation, kind: ConceptKind,
-        propagate: bool = True,
-    ) -> LogEntry:
-        """Apply with a bare concept *kind* instead of a concept object."""
-        check_admissible(operation, kind)
-        return self.apply(operation, concept=None, propagate=propagate)
+        return self._run(
+            composite.expand_plan(self.schema, self.context),
+            concept, propagate,
+        )
 
     # ------------------------------------------------------------------
     # History
@@ -472,23 +347,34 @@ class Workspace:
     def redo(self) -> LogEntry | None:
         """Re-apply the most recently undone step; returns the new entry.
 
-        Mirrors :meth:`apply`: if any plan step fails mid-redo, the
-        already re-applied steps are rolled back and the entry stays on
-        the redo stack, leaving the workspace exactly as before the
-        call.  The fresh log entry keeps the original ``propagated``
-        flag so the history stays faithful to how the step was applied.
+        If any plan step fails mid-redo, the already re-applied steps
+        are rolled back and the entry stays on the redo stack, leaving
+        the workspace exactly as before the call.  The fresh log entry
+        keeps the original ``propagated`` flag so the history stays
+        faithful to how the step was applied.
         """
         if not self._redo_stack:
             return None
-        entry = self._redo_stack.pop()
+        fresh = self._replay(self._redo_stack[-1])
+        self._redo_stack.pop()
+        self._refresh_issues()
+        return fresh
+
+    def _replay(self, entry: LogEntry) -> LogEntry:
+        """Re-apply a recorded entry's plan and log a fresh entry for it.
+
+        The recorded plan already holds every cascade, so nothing is
+        expanded again.  On any exception the steps applied so far are
+        undone and the error re-raised, with the log untouched.
+        """
         undos: list[Undo] = []
         try:
             for step in entry.plan:
                 undos.append(step.apply(self.schema, self.context))
-        except (OperationError, SchemaError):
+        except BaseException:
             for undo in reversed(undos):
                 undo()
-            self._redo_stack.append(entry)
+            self._note_scopes(entry.plan)
             raise
         fresh = LogEntry(
             requested=entry.requested,
@@ -499,8 +385,7 @@ class Workspace:
             propagated=entry.propagated,
         )
         self.log.append(fresh)
-        self._note_scopes(fresh.plan)
-        self._refresh_issues()
+        self._note_scopes(entry.plan)
         return fresh
 
     # ------------------------------------------------------------------
@@ -625,20 +510,7 @@ class Workspace:
             validate_each_step=self.validate_each_step,
         )
         for entry in self.log[: at.depth]:
-            undos: list[Undo] = []
-            for step in entry.plan:
-                undos.append(step.apply(branch.schema, branch.context))
-            branch.log.append(
-                LogEntry(
-                    requested=entry.requested,
-                    plan=entry.plan,
-                    undos=undos,
-                    concept_id=entry.concept_id,
-                    feedback=entry.feedback,
-                    propagated=entry.propagated,
-                )
-            )
-            branch._note_scopes(entry.plan)
+            branch._replay(entry)
         branch._refresh_issues()
         return branch
 

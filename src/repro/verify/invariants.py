@@ -817,9 +817,9 @@ def _check_undo_redo_identity(workspace):
 @workspace_invariant(
     "plan-analyzer-differential",
     "DESIGN 5f: pre-flight diagnostics are exactly the dynamically "
-    "failing ops -- valid plans analyze clean, batched apply_plan "
-    "equals naive per-op application, and every diagnostic on a "
-    "perturbed plan reproduces as a real failure",
+    "failing ops -- valid plans analyze clean, apply_plan equals "
+    "naive per-op application in schema and feedback, and every "
+    "diagnostic on a perturbed plan reproduces as a real failure",
     tier=TIER_EXPENSIVE,
 )
 def _check_plan_analyzer(workspace):
@@ -844,24 +844,25 @@ def _check_plan_analyzer(workspace):
         return
     naive = Workspace(schema, "plan_naive", validate_each_step=False)
     try:
-        for operation in plan:
-            naive.apply(operation)
+        naive_entries = [naive.apply(operation) for operation in plan]
     except (OperationError, SchemaError) as error:
         yield f"pre-flight-clean generated plan failed to apply: {error}"
         return
-    batched = Workspace(schema, "plan_batched", validate_each_step=False)
-    batched.apply_plan(plan)
-    if schema_fingerprint(naive.schema) != schema_fingerprint(
-        batched.schema
-    ):
+    whole = Workspace(schema, "plan_whole", validate_each_step=False)
+    entries = whole.apply_plan(plan)
+    if schema_fingerprint(naive.schema) != schema_fingerprint(whole.schema):
         yield "apply_plan diverged from naive per-op application"
+    if [entry.feedback for entry in entries] != [
+        entry.feedback for entry in naive_entries
+    ]:
+        yield "apply_plan feedback differs from per-op apply feedback"
     if len(plan) < 2:
         return
     # Drop one op: whatever pre-flight then flags must actually fail
     # when the remaining ops run with skip-on-failure semantics.
     perturbed = list(plan)
     del perturbed[seed % len(plan)]
-    verdict = analyze_plan(perturbed, schema, normalize=False)
+    verdict = analyze_plan(perturbed, schema)
     replay = Workspace(schema, "plan_perturbed", validate_each_step=False)
     failed: set[int] = set()
     for index, operation in enumerate(perturbed):

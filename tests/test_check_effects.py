@@ -1,33 +1,25 @@
-"""Tests for the ``tools/check_effects.py`` lint gate.
+"""Tests for the ``effects`` lint pass.
 
-The checker traces the spine mutators reachable from each operation
+The pass traces the spine mutators reachable from each operation
 class's ``apply`` and asserts ``touched_aspects`` covers them.  These
 tests pin both directions: every registered class passes, and a
 deliberately under-declared class is caught.
 """
 
-import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.lint.passes import effects as checker
 from repro.model.mutation import Aspect
 from repro.ops.attribute_ops import AddAttribute
 from repro.ops.registry import OPERATION_CLASSES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CHECKER = REPO_ROOT / "tools" / "check_effects.py"
-
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location("check_effects", CHECKER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_registered_class_declares_its_mutators():
-    checker = _load_checker()
     failures = {
         klass.__name__: missing
         for klass in OPERATION_CLASSES
@@ -38,7 +30,6 @@ def test_every_registered_class_declares_its_mutators():
 
 def test_checker_reaches_mutators_for_each_class():
     """The tracer must actually find mutators (not silently see none)."""
-    checker = _load_checker()
     traced = sum(
         1 for klass in OPERATION_CLASSES
         if checker.reachable_mutators(klass)
@@ -55,7 +46,6 @@ class _UnderDeclared(AddAttribute):
 
 
 def test_under_declared_class_is_caught():
-    checker = _load_checker()
     missing = checker.check_operation_class(_UnderDeclared)
     assert missing
     assert any(
@@ -66,8 +56,11 @@ def test_under_declared_class_is_caught():
 
 def test_cli_passes_on_current_tree():
     result = subprocess.run(
-        [sys.executable, str(CHECKER)],
+        [sys.executable, "-m", "repro.lint", "--pass", "effects", "--json"],
         capture_output=True, text=True, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "operation classes declare every aspect" in result.stdout
+    report = json.loads(result.stdout)
+    assert [entry["id"] for entry in report["passes"]] == ["effects"]
+    assert report["findings"] == []

@@ -1,26 +1,20 @@
-"""Tests for the spine-emission / CoW-barrier / compiled-plan checks.
+"""Tests for the spine-emission / CoW-barrier checks.
 
-The checks live in :mod:`repro.lint.passes.spine` (the
-``tools/check_mutators.py`` shim re-exports them); these tests drive
+The checks live in :mod:`repro.lint.passes.spine`; these tests drive
 them over in-memory fixture snippets that must pass and must fail --
-missing ``_emit``, ``_cow_barrier`` not the first statement, and a
-compiled-plan helper writing a container directly -- plus the shim CLI
-on the real tree.
+missing ``_emit`` and ``_cow_barrier`` not the first statement -- plus
+``python -m repro.lint --pass spine`` on the real tree.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 from repro.lint.loader import Codebase
-from repro.lint.passes.spine import (
-    compiled_plan_findings,
-    cow_findings,
-    emission_findings,
-)
+from repro.lint.passes.spine import cow_findings, emission_findings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SHIM = REPO_ROOT / "tools" / "check_mutators.py"
 
 
 GOOD_CLASS = '''
@@ -73,44 +67,6 @@ class Model:
         self._emit("set_label", (), {})
 '''
 
-GOOD_WORKSPACE = '''
-class Workspace:
-    def apply_plan_compiled(self, plan):
-        for step_plan in self.expand_applying(plan):
-            self._note_scopes(step_plan)
-
-    def _note_scopes(self, step_plan):
-        self.notes.extend(step_plan.scopes)
-
-    def expand_applying(self, plan):
-        yield plan
-'''
-
-DIRTY_WORKSPACE = '''
-class Workspace:
-    def apply_plan_compiled(self, plan):
-        for step_plan in self.expand_applying(plan):
-            self._note_scopes(step_plan)
-            self._shortcut(step_plan)
-
-    def _note_scopes(self, step_plan):
-        self.notes.extend(step_plan.scopes)
-
-    def _shortcut(self, step_plan):
-        self.schema.interfaces[step_plan.name] = step_plan.interface
-
-    def expand_applying(self, plan):
-        yield plan
-'''
-
-MISSING_CALLS_WORKSPACE = '''
-class Workspace:
-    def apply_plan_compiled(self, plan):
-        for step in plan.steps:
-            step.apply(self.schema)
-'''
-
-
 def _codebase(source: str) -> Codebase:
     return Codebase.from_sources({"fixture": source})
 
@@ -148,46 +104,20 @@ def test_cow_barrier_not_first_is_caught():
     assert "first" in findings[0].message
 
 
-def test_compiled_plan_clean_workspace_passes():
-    assert (
-        compiled_plan_findings(_codebase(GOOD_WORKSPACE), "fixture") == []
-    )
-
-
-def test_compiled_plan_container_write_is_caught():
-    findings = compiled_plan_findings(_codebase(DIRTY_WORKSPACE), "fixture")
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.rule == "compiled-plan"
-    assert finding.symbol == "fixture:Workspace._shortcut"
-    assert "subscript" in finding.message
-    expected_line = DIRTY_WORKSPACE.splitlines().index(
-        "        self.schema.interfaces[step_plan.name] = step_plan.interface"
-    ) + 1
-    assert finding.line == expected_line
-
-
-def test_compiled_plan_missing_required_calls_is_caught():
-    findings = compiled_plan_findings(
-        _codebase(MISSING_CALLS_WORKSPACE), "fixture"
-    )
-    messages = " ".join(f.message for f in findings)
-    assert "expand_applying" in messages
-    assert "_note_scopes" in messages
-
-
 def test_real_tree_is_clean():
     codebase = Codebase.load()
     assert emission_findings(codebase, "repro.model.interface", "InterfaceDef") == []
     assert emission_findings(codebase, "repro.model.schema", "Schema") == []
     assert cow_findings(codebase, "repro.model.interface", "InterfaceDef") == []
-    assert compiled_plan_findings(codebase) == []
 
 
-def test_shim_cli_passes_on_current_tree():
+def test_spine_pass_cli_passes_on_current_tree():
     result = subprocess.run(
-        [sys.executable, str(SHIM)],
+        [sys.executable, "-m", "repro.lint", "--pass", "spine", "--json"],
         capture_output=True, text=True, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "public mutators all emit records" in result.stdout
+    report = json.loads(result.stdout)
+    assert [entry["id"] for entry in report["passes"]] == ["spine"]
+    assert report["findings"] == []

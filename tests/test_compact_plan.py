@@ -1,15 +1,14 @@
-"""Compiled-plan path and plan-analysis memoization (PR 6).
+"""One-pass plan application and plan-analysis memoization.
 
-Pins the two workspace-level contracts the compact-representation work
-introduced:
+Pins the two workspace-level contracts of whole-plan application:
 
-* :meth:`Workspace.apply_plan_compiled` is behaviourally identical to
-  the batched per-op path -- same final schema, same per-entry plans,
-  same ``MutationRecord`` stream -- while validating once per plan.
-* :meth:`Workspace.apply_plan` / ``apply_plan_compiled`` memoize their
-  static pre-flight analysis on (plan fingerprint, spine seq): retrying
-  a rejected plan on an unchanged schema is a cache hit, visible in
-  ``Schema.stats()``.
+* :meth:`Workspace.apply_plan` runs a plan in one pass and validates
+  once, and is behaviourally identical to applying the ops one at a
+  time with :meth:`Workspace.apply` -- same final schema, same
+  per-entry plans and feedback, same ``MutationRecord`` stream.
+* :meth:`Workspace.apply_plan` memoizes its static pre-flight analysis
+  on (plan fingerprint, spine seq): retrying a rejected plan on an
+  unchanged schema is a cache hit, visible in ``Schema.stats()``.
 """
 
 import pytest
@@ -40,62 +39,54 @@ def _generated_corpus():
     return schema, plan
 
 
+def _stream(log, since):
+    return [(r.kind, r.interface, r.aspects) for r in log.records_since(since)]
+
+
 class TestCompiledPlanParity:
     def test_matches_per_op_application(self):
         schema, plan = _generated_corpus()
-        naive = Workspace(schema.copy("naive"), name="naive")
+        naive_schema = schema.copy("naive")
+        naive = Workspace(naive_schema, name="naive")
+        naive_base = naive.schema.log.seq
         for operation in plan:
             naive.apply(operation)
-        compiled_schema = schema.copy("compiled")
-        compiled = Workspace(compiled_schema, name="compiled")
-        base_seq = compiled_schema.log.seq
-        entries = compiled.apply_plan_compiled(list(plan))
+        whole_schema = schema.copy("whole")
+        whole = Workspace(whole_schema, name="whole")
+        whole_base = whole.schema.log.seq
+        entries = whole.apply_plan(list(plan))
         assert schema_fingerprint(naive.schema) == schema_fingerprint(
-            compiled.schema
+            whole.schema
         )
-        assert len(entries) == compiled.undo_depth
-
-        # Record-for-record identical mutation stream: the compiled pass
-        # mutates through the same expand_applying + scope notes as the
-        # per-op path, only the validation cadence differs.
-        def stream(log, since):
-            return [
-                (r.kind, r.interface, r.aspects)
-                for r in log.records_since(since)
-            ]
-
-        # The per-op workspace applied without batching/normalization,
-        # so compare against a batched apply_plan run instead.
-        batched_schema = schema.copy("batched")
-        batched = Workspace(batched_schema, name="batched")
-        batched_base = batched_schema.log.seq
-        batched.apply_plan(list(plan))
-        assert stream(compiled_schema.log, base_seq) == stream(
-            batched_schema.log, batched_base
-        )
-        assert schema_fingerprint(batched.schema) == schema_fingerprint(
-            compiled.schema
+        assert len(entries) == whole.undo_depth
+        # Record-for-record identical mutation stream: both run every op
+        # through the same engine; only the validation cadence differs.
+        assert _stream(whole.schema.log, whole_base) == _stream(
+            naive.schema.log, naive_base
         )
 
-    def test_entry_plans_match_batched_path(self):
+    def test_entry_plans_match_per_op_path(self):
         schema, plan = _generated_corpus()
-        batched = Workspace(schema.copy("b"), name="b")
-        compiled = Workspace(schema.copy("c"), name="c")
-        batched_entries = batched.apply_plan(list(plan))
-        compiled_entries = compiled.apply_plan_compiled(list(plan))
+        naive = Workspace(schema.copy("n"), name="n")
+        whole = Workspace(schema.copy("w"), name="w")
+        naive_entries = [naive.apply(operation) for operation in plan]
+        whole_entries = whole.apply_plan(list(plan))
         assert [
             [step.to_text() for step in entry.plan]
-            for entry in batched_entries
+            for entry in naive_entries
         ] == [
             [step.to_text() for step in entry.plan]
-            for entry in compiled_entries
+            for entry in whole_entries
+        ]
+        assert [entry.feedback for entry in naive_entries] == [
+            entry.feedback for entry in whole_entries
         ]
 
     def test_undo_reverses_compiled_entries(self):
         schema, plan = _generated_corpus()
         workspace = Workspace(schema, name="undoable")
         before = schema_fingerprint(workspace.schema)
-        entries = workspace.apply_plan_compiled(list(plan))
+        entries = workspace.apply_plan(list(plan))
         assert entries
         for _ in entries:
             workspace.undo_last()
@@ -104,7 +95,7 @@ class TestCompiledPlanParity:
     def test_preflight_rejection_leaves_workspace_untouched(self, workspace):
         before = schema_fingerprint(workspace.schema)
         with pytest.raises(PlanPreflightError):
-            workspace.apply_plan_compiled([
+            workspace.apply_plan([
                 AddAttribute("Person", scalar("long"), "ok"),
                 AddAttribute("Ghost", scalar("long"), "x"),
             ])
@@ -121,7 +112,7 @@ class TestCompiledPlanParity:
             AddAttribute("Person", scalar("long"), "id"),
         ]
         with pytest.raises(OperationError):
-            workspace.apply_plan_compiled(plan)
+            workspace.apply_plan(plan)
         assert schema_fingerprint(workspace.schema) == before
         assert workspace.undo_depth == 0
         assert workspace.redo_depth == 0
@@ -143,19 +134,6 @@ class TestAnalysisMemoization:
         # Nothing mutated, so the retry reuses the whole analysis.
         with pytest.raises(PlanPreflightError):
             workspace.apply_plan(plan)
-        stats = workspace.schema.stats()
-        assert stats["analysis.misses"] == 1
-        assert stats["analysis.hits"] == 1
-
-    def test_compiled_path_shares_the_memo(self, workspace):
-        plan = [
-            AddAttribute("Person", scalar("long"), "ok"),
-            AddAttribute("Ghost", scalar("long"), "x"),
-        ]
-        with pytest.raises(PlanPreflightError):
-            workspace.apply_plan(plan)
-        with pytest.raises(PlanPreflightError):
-            workspace.apply_plan_compiled(plan)
         stats = workspace.schema.stats()
         assert stats["analysis.misses"] == 1
         assert stats["analysis.hits"] == 1

@@ -1,10 +1,10 @@
 """Tests for the static plan analyzer (:mod:`repro.analysis.plan`).
 
-These pin the PR's tentpole contract: effect signatures stay consistent
+These pin the analyzer's contract: effect signatures stay consistent
 with ``validation_scope()``, pre-flight diagnostics are exact (every
-one reproduces as a dynamic failure), normalization rewrites preserve
-what a plan computes, batching preserves execution order, and
-``Workspace.apply_plan`` is all-or-nothing.
+one reproduces as a dynamic failure), the conflict graph has the
+expected edges, and ``Workspace.apply_plan`` applies the plan verbatim
+and all-or-nothing.
 """
 
 import pytest
@@ -14,18 +14,12 @@ from repro.analysis.plan import (
     analyze_plan,
     conflict_edges,
     main as plan_main,
-    normalize_plan,
-    partition_batches,
 )
 from repro.concepts.base import ConceptKind
 from repro.model.errors import SchemaError
 from repro.model.fingerprint import schema_fingerprint
 from repro.model.types import scalar
-from repro.ops.attribute_ops import (
-    AddAttribute,
-    DeleteAttribute,
-    ModifyAttributeType,
-)
+from repro.ops.attribute_ops import AddAttribute, DeleteAttribute
 from repro.ops.base import OperationError
 from repro.ops.effects import footprints_overlap
 from repro.ops.type_ops import AddTypeDefinition, DeleteTypeDefinition
@@ -239,120 +233,13 @@ class TestConflictGraphAndBatches:
         )
         assert any("read-after-write" in edge.reason for edge in edges)
 
-    def test_batches_concatenate_to_plan(self, small):
-        _, plan = _generated_corpus()
-        batches = partition_batches(plan)
-        flattened = [operation for batch in batches for operation in batch]
-        assert flattened == list(plan)
-
-    def test_conflicting_ops_split_batches(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "a"),
-            AddAttribute("Person", scalar("long"), "b"),
-        ]
-        assert [len(b) for b in partition_batches(plan)] == [1, 1]
-
-    def test_commuting_ops_share_a_batch(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "a"),
-            AddAttribute("Department", scalar("long"), "b"),
-        ]
-        assert [len(b) for b in partition_batches(plan)] == [2]
-
     def test_edges_skippable(self, small):
         analysis = analyze_plan(
             [AddAttribute("Person", scalar("long"), "a")], small,
             edges=False,
         )
         assert analysis.edges == []
-        assert analysis.batches  # batching unaffected
-
-
-class TestNormalization:
-    def test_dead_attribute_pair_eliminated(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "tmp"),
-            DeleteAttribute("Person", "tmp"),
-        ]
-        normalized, notes = normalize_plan(plan)
-        assert normalized == []
-        assert any("dead pair" in note for note in notes)
-
-    def test_dead_pair_blocked_by_conflicting_op_between(self):
-        # The key list reads (*, ATTRS): it may observe the attribute,
-        # so the pair cannot be slid together and must survive.
-        plan = [
-            AddAttribute("Person", scalar("long"), "tmp"),
-            AddKeyList("Employee", ("name",)),
-            DeleteAttribute("Person", "tmp"),
-        ]
-        normalized, notes = normalize_plan(plan)
-        assert normalized == plan
-        assert notes == []
-
-    def test_add_modify_fusion(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "age"),
-            ModifyAttributeType(
-                "Person", "age", scalar("long"), scalar("float")
-            ),
-        ]
-        normalized, notes = normalize_plan(plan)
-        assert len(normalized) == 1
-        fused = normalized[0]
-        assert isinstance(fused, AddAttribute)
-        assert fused.domain_type == scalar("float")
-        assert any("fused" in note for note in notes)
-
-    def test_modify_chain_fusion(self):
-        plan = [
-            ModifyExtentName("Person", "people", "folk"),
-            ModifyExtentName("Person", "folk", "citizens"),
-        ]
-        normalized, _ = normalize_plan(plan)
-        assert len(normalized) == 1
-        assert normalized[0].old_extent_name == "people"
-        assert normalized[0].new_extent_name == "citizens"
-
-    def test_identity_chain_dropped(self):
-        plan = [
-            ModifyExtentName("Person", "people", "folk"),
-            ModifyExtentName("Person", "folk", "people"),
-        ]
-        normalized, notes = normalize_plan(plan)
-        assert normalized == []
-        assert any("identity" in note for note in notes)
-
-    def test_type_group_elimination(self):
-        plan = [
-            AddTypeDefinition("Scratch"),
-            AddAttribute("Scratch", scalar("long"), "x"),
-            AddKeyList("Scratch", ("x",)),
-            DeleteTypeDefinition("Scratch"),
-        ]
-        normalized, notes = normalize_plan(plan)
-        assert normalized == []
-        assert any("group" in note for note in notes)
-
-    def test_normalized_plan_computes_the_same_schema(self, small):
-        plan = [
-            AddAttribute("Person", scalar("long"), "tmp"),
-            AddAttribute("Department", scalar("string"), "label"),
-            DeleteAttribute("Person", "tmp"),
-            ModifyExtentName("Person", "people", "folk"),
-            ModifyExtentName("Person", "folk", "citizens"),
-        ]
-        normalized, _ = normalize_plan(plan)
-        assert len(normalized) < len(plan)
-        original_ws = Workspace(small.copy(), name="orig")
-        for operation in plan:
-            original_ws.apply(operation)
-        normalized_ws = Workspace(small.copy(), name="norm")
-        for operation in normalized:
-            normalized_ws.apply(operation)
-        assert schema_fingerprint(original_ws.schema) == schema_fingerprint(
-            normalized_ws.schema
-        )
+        assert analysis.is_clean()
 
 
 class TestApplyPlan:
@@ -394,22 +281,13 @@ class TestApplyPlan:
         assert workspace.undo_depth == 0
         assert workspace.redo_depth == 0
 
-    def test_normalize_off_applies_plan_verbatim(self, workspace):
-        plan = [
-            AddAttribute("Person", scalar("long"), "tmp"),
-            DeleteAttribute("Person", "tmp"),
-        ]
-        entries = workspace.apply_plan(plan, normalize=False)
-        assert len(entries) == 2
-
-    def test_normalize_on_skips_dead_work(self, workspace):
+    def test_applies_plan_verbatim(self, workspace):
         plan = [
             AddAttribute("Person", scalar("long"), "tmp"),
             DeleteAttribute("Person", "tmp"),
         ]
         entries = workspace.apply_plan(plan)
-        assert entries == []
-        assert workspace.undo_depth == 0
+        assert [entry.requested for entry in entries] == plan
 
 
 class TestCLI:
@@ -430,7 +308,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "pre-flight: clean" in out
-        assert "batches:" in out
 
     def test_diagnosed_script_exits_nonzero(self, tmp_path, capsys):
         from tests.conftest import SMALL_ODL

@@ -1,11 +1,10 @@
-"""Property test: every plan-application path rejects plans identically.
+"""Property test: a rejected plan is rejected exactly and atomically.
 
-PR 7 satellite.  For randomly generated *rejected* plans, the batched
-``apply_plan``, the fused ``apply_plan_compiled``, and naive per-op
-application must agree:
+For randomly generated *rejected* plans:
 
-* both batched paths raise :class:`PlanPreflightError` with the same
-  diagnostics (same indices, codes, and messages);
+* ``apply_plan`` and ``preview`` raise or report the same
+  :class:`PlanPreflightError` diagnostics (same indices, codes, and
+  messages);
 * a rejected plan leaves the schema fingerprint, the op log, and the
   redo stack exactly as they were (atomicity);
 * every pre-flight diagnostic reproduces as a real dynamic failure when
@@ -70,27 +69,28 @@ def _diagnostic_tuples(error: PlanPreflightError):
 
 @given(seed=st.integers(0, 5000), style=st.integers(0, 3))
 @_SETTINGS
-def test_batched_paths_reject_identically_and_atomically(seed, style):
+def test_rejected_plan_is_reported_identically_and_atomically(seed, style):
     schema, plan = _rejected_plan(seed, style)
     assume(plan)
-    assume(analyze_plan(plan, schema, normalize=False).diagnostics)
+    assume(analyze_plan(plan, schema).diagnostics)
 
-    batched = Workspace(schema, "batched", validate_each_step=False)
-    compiled = Workspace(schema, "compiled", validate_each_step=False)
+    workspace = Workspace(schema, "rejected", validate_each_step=False)
     before = schema_fingerprint(schema)
 
-    with pytest.raises(PlanPreflightError) as batched_error:
-        batched.apply_plan(plan, normalize=False)
-    with pytest.raises(PlanPreflightError) as compiled_error:
-        compiled.apply_plan_compiled(plan, normalize=False)
+    with pytest.raises(PlanPreflightError) as error:
+        workspace.apply_plan(plan)
+    preview = workspace.preview(plan)
 
-    assert _diagnostic_tuples(batched_error.value) == _diagnostic_tuples(
-        compiled_error.value
-    )
-    for workspace in (batched, compiled):
-        assert schema_fingerprint(workspace.schema) == before
-        assert workspace.log == []
-        assert workspace.redo_depth == 0
+    assert not preview.ok
+    assert [
+        (feedback.subject, feedback.message) for feedback in preview.feedback
+    ] == [
+        (f"op[{diagnostic.index}]", diagnostic.message)
+        for diagnostic in error.value.diagnostics
+    ]
+    assert schema_fingerprint(workspace.schema) == before
+    assert workspace.log == []
+    assert workspace.redo_depth == 0
 
 
 @given(seed=st.integers(0, 5000), style=st.integers(0, 3))
@@ -98,7 +98,7 @@ def test_batched_paths_reject_identically_and_atomically(seed, style):
 def test_diagnostics_reproduce_as_dynamic_failures(seed, style):
     schema, plan = _rejected_plan(seed, style)
     assume(plan)
-    verdict = analyze_plan(plan, schema, normalize=False)
+    verdict = analyze_plan(plan, schema)
     assume(verdict.diagnostics)
 
     replay = Workspace(schema, "replay", validate_each_step=False)
@@ -121,12 +121,12 @@ def test_repeated_rejection_is_stable(seed):
     (the second run exercises the analysis memo)."""
     schema, plan = _rejected_plan(seed, 1)
     assume(plan)
-    assume(analyze_plan(plan, schema, normalize=False).diagnostics)
+    assume(analyze_plan(plan, schema).diagnostics)
     workspace = Workspace(schema, "memo", validate_each_step=False)
     outcomes = []
     for _ in range(2):
         with pytest.raises(PlanPreflightError) as error:
-            workspace.apply_plan(plan, normalize=False)
+            workspace.apply_plan(plan)
         outcomes.append(_diagnostic_tuples(error.value))
     assert outcomes[0] == outcomes[1]
     assert workspace.schema.stats()["analysis.hits"] >= 1

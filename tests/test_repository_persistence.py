@@ -119,6 +119,23 @@ class TestRoundTrip:
         assert path.stat().st_mode & 0o777 == 0o600
         assert "badge" in path.read_text(encoding="utf-8")
 
+    def test_view_created_before_undo_survives_load(
+        self, repository, tmp_path
+    ):
+        repository.create_wagon_wheel_view("Person", "v")
+        repository.undo()
+        repository.undo()
+        path = tmp_path / "repo.json"
+        save_repository(repository, path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["operations"] == []
+        assert data["views"][0]["position"] == 2
+        restored = load_repository(path)
+        assert restored.concept("ww:Person#v").identifier == "ww:Person#v"
+        assert schemas_equal(
+            restored.workspace.schema, repository.workspace.schema
+        )
+
     def test_propagate_flag_persisted(self, small, tmp_path):
         repo = SchemaRepository(small)
         repo.apply(

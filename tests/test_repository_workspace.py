@@ -9,6 +9,7 @@ from repro.model.fingerprint import schema_fingerprint, schemas_equal
 from repro.model.types import NamedType, scalar
 from repro.ops.attribute_ops import AddAttribute, DeleteAttribute
 from repro.ops.base import ConstraintViolation, InadmissibleOperationError
+from repro.ops.registry import check_admissible
 from repro.ops.type_ops import DeleteTypeDefinition
 from repro.ops.type_property_ops import AddSupertype
 from repro.repository.workspace import Workspace
@@ -51,13 +52,11 @@ class TestApply:
         assert entry.concept_id == "ww:Person"
 
     def test_apply_kind_checked(self, workspace):
+        operation = AddSupertype("Department", "Person")
         with pytest.raises(InadmissibleOperationError):
-            workspace.apply_kind_checked(
-                AddSupertype("Department", "Person"), ConceptKind.WAGON_WHEEL
-            )
-        workspace.apply_kind_checked(
-            AddSupertype("Department", "Person"), ConceptKind.GENERALIZATION
-        )
+            check_admissible(operation, ConceptKind.WAGON_WHEEL)
+        check_admissible(operation, ConceptKind.GENERALIZATION)
+        workspace.apply(operation)
         assert "Person" in workspace.schema.get("Department").supertypes
 
     def test_feedback_collected(self, workspace):
