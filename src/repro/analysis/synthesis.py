@@ -25,7 +25,7 @@ compares the two on script length and reuse.
 from __future__ import annotations
 
 from repro.analysis.diff import ChangeStatus, diff_schemas
-from repro.knowledge.propagation import expand
+from repro.knowledge.propagation import expand_applying
 from repro.model.errors import SchemaError
 from repro.model.fingerprint import schemas_equal
 from repro.model.relationships import RelationshipEnd, RelationshipKind
@@ -135,8 +135,7 @@ class _Synthesizer:
         self.plan: list[SchemaOperation] = []
 
     def _emit(self, operation: SchemaOperation) -> None:
-        for step in expand(self.scratch, operation, self.context):
-            step.apply(self.scratch, self.context)
+        expand_applying(self.scratch, operation, self.context)
         self.plan.append(operation)
 
     def build(self) -> list[SchemaOperation]:

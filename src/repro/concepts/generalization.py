@@ -98,10 +98,9 @@ def extract_generalization_hierarchy(
     members = {root} | schema.descendants(root)
     # Visit only the members (declaration order preserved via the index)
     # instead of scanning every interface per root.
-    order = schema.index.declaration_order()
     edges = tuple(
         IsaEdge(name, supertype)
-        for name in sorted(members, key=order.__getitem__)
+        for name in schema.index.in_declaration_order(members)
         for supertype in schema.get(name).supertypes
         if supertype in members
     )

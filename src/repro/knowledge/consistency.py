@@ -79,14 +79,13 @@ def concept_interaction_feedback(
 def design_quality_feedback(schema: Schema) -> list[Feedback]:
     """Schema smells worth flagging before the custom schema ships."""
     messages: list[Feedback] = []
-    subtype_map = schema.index.subtype_map()
     for interface in schema:
         has_properties = (
             interface.attributes
             or interface.relationships
             or interface.operations
             or interface.supertypes
-            or subtype_map.get(interface.name)
+            or schema.index.children_of(interface.name)
         )
         if not has_properties:
             messages.append(

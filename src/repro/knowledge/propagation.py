@@ -205,19 +205,20 @@ def _cascades_for_delete_type(
     """Everything referencing *typename* must go (or be re-wired) first.
 
     An end, attribute, operation or supertype entry involving *typename*
-    implies its owner references *typename*, so both walks restrict to
+    implies its owner references *typename*, so both walks visit only
     the index's incremental reverse-reference set (plus *typename*
-    itself for its own ends) instead of scanning every property of
-    every interface; the emitted cascade order is unchanged.
+    itself for its own ends), sorted by declaration position -- the
+    cascade order of a walk over every interface, at O(referencers).
     """
     cascades: list[SchemaOperation] = []
-    referencers = schema.index.referencers_of(typename)
-    involved = referencers | {typename}
+    index = schema.index
+    referencers = index.referencers_of(typename)
+    involved = set(referencers)
+    if typename in schema.interfaces:
+        involved.add(typename)
     handled_pairs: set[frozenset[tuple[str, str]]] = set()
-    for interface in schema:
-        owner = interface.name
-        if owner not in involved:
-            continue
+    for owner in index.in_declaration_order(involved):
+        interface = schema.interfaces[owner]
         for end in interface.relationships.values():
             involves = (
                 owner == typename
@@ -233,9 +234,8 @@ def _cascades_for_delete_type(
                 continue
             handled_pairs.add(pair)
             cascades.append(_DELETE_END_OPS[end.kind](owner, end.name))
-    for interface in schema:
-        if interface.name == typename or interface.name not in referencers:
-            continue
+    for owner in index.in_declaration_order(referencers - {typename}):
+        interface = schema.interfaces[owner]
         for attribute in list(interface.attributes.values()):
             if typename in referenced_interfaces(attribute.type):
                 cascades.append(

@@ -6,7 +6,7 @@ parent tuple, child set, and reference frozenset is a separate
 heap-allocated container keyed by strings.  At 100k types those
 containers dominate both memory and cache behaviour.
 
-This module stores the same three link families column-wise instead:
+This module stores the same link families column-wise instead:
 
 * :class:`NameTable` interns every type *name* (defined or dangling)
   to a dense integer id, refcounted with a free list so ids are reused
@@ -17,7 +17,10 @@ This module stores the same three link families column-wise instead:
   ``array('i')`` rows indexed by id -- supertype parents, ISA children,
   outgoing references, and incoming references -- fed incrementally
   from the mutation spine by exactly the record stream
-  :class:`~repro.model.index.SchemaIndex` already consumes.
+  :class:`~repro.model.index.SchemaIndex` already consumes.  Beside
+  them it keeps the rest of the state an edit queries: a declaration
+  position per id, the owners of to-many part-of / instance-of ends
+  with their reverse map, and the owners of each extent name.
 * :class:`DictAdjacency` is the retained dict implementation, kept as
   the executable reference specification: the columnar-vs-dict
   differential (``columnar-vs-dict-adjacency`` invariant and the
@@ -36,15 +39,24 @@ refcount from the rows and is part of the differential contract.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
-from repro.model.mutation import MutationRecord, replayable_kind
+from repro.model.mutation import Aspect, MutationRecord, replayable_kind
+from repro.model.relationships import RelationshipEnd, RelationshipKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.model.interface import InterfaceDef
     from repro.model.schema import Schema
 
 #: Mutator kinds that change the ISA adjacency incrementally.
 ISA_KINDS = frozenset({"add_supertype", "remove_supertype", "set_supertypes"})
+
+#: The implicit 1:N hierarchies, with the aspect their end records carry.
+LINK_KINDS = {
+    RelationshipKind.PART_OF: Aspect.REL_PART_OF,
+    RelationshipKind.INSTANCE_OF: Aspect.REL_INSTANCE_OF,
+}
 
 
 class NameTable:
@@ -151,15 +163,37 @@ class ColumnarAdjacency:
     lossy record marks the whole store dirty for a scan rebuild --
     exactly the protocol of the dict maps it replaces.
 
+    The same feed keeps the rest of what an edit asks about the link
+    graphs, each re-derived for the record's own owner only:
+
+    * ``_position[i]`` -- declaration sort key of defined id *i*:
+      appended on ``add_interface``, dropped on ``remove_interface``,
+      renumbered on ``reorder_interfaces`` (a record that is O(types)
+      itself); ``_order`` holds the live keys ascending, so a rank is
+      one bisect;
+    * ``_links[kind]`` -- owner -> targets of its to-many ends of a
+      part-of / instance-of kind (the owners are the keys), with
+      ``_linked_from[kind]`` the reverse (target -> owners, one entry
+      per edge), refreshed by ``add/remove/replace_relationship``
+      records carrying that kind's aspect and by membership records;
+    * ``_extent[i]`` / ``_extent_owners`` -- each interface's extent
+      name and the owners of every extent name (``set_extent``).
+
+    Queries that must answer in declaration order sort their few names
+    by position; none of them walks the schema.
+
     **Copy-on-write fork views (DESIGN.md 5j).**  :meth:`fork_view`
     hands a CoW fork an overlay copy: the outer columns, name table,
     and defined bits are copied (pointer-sized work per id, no schema
-    scan), while the inner ``array('i')`` rows stay shared with the
-    base.  The view privatises a row the first time it mutates it
-    (:meth:`_own`), and pins the base's :attr:`version` at fork time --
-    any later base mutation trips the pin in :meth:`ensure_fresh` and
-    the view falls back to its own scan rebuild, so in-place writes on
-    shared rows by either side are never observable across the fork.
+    scan), while the inner ``array('i')`` rows and the position, link
+    and extent state stay shared with the base.  The view privatises a
+    row the first time it mutates it (:meth:`_own`), the other state on
+    its first write to it (:meth:`_own_state`), and pins the base's
+    :attr:`version` at fork time -- any later mutation of the base, or
+    of the base's own base for a fork of a fork, trips the pin in
+    :meth:`ensure_fresh` (and in :meth:`observe`) and the view falls
+    back to its own scan rebuild, so in-place writes on shared state by
+    either side are never observable across the fork.
     """
 
     __slots__ = (
@@ -170,6 +204,14 @@ class ColumnarAdjacency:
         "_refs_out",
         "_refs_in",
         "_defined",
+        "_position",
+        "_order",
+        "_next_position",
+        "_links",
+        "_linked_from",
+        "_extent",
+        "_extent_owners",
+        "_shares_state",
         "_pending",
         "_dirty",
         "rebuilds",
@@ -187,6 +229,22 @@ class ColumnarAdjacency:
         self._refs_out: list[array | None] = []
         self._refs_in: list[array | None] = []
         self._defined = bytearray()
+        self._position = array("q")
+        self._order = array("q")
+        self._next_position = 0
+        self._links: dict[RelationshipKind, dict[str, tuple[str, ...]]] = {
+            kind: {} for kind in LINK_KINDS
+        }
+        self._linked_from: dict[
+            RelationshipKind, dict[str, tuple[str, ...]]
+        ] = {kind: {} for kind in LINK_KINDS}
+        self._extent: list[str | None] = []
+        #: extent name -> its owner, or a tuple of owners when several
+        #: interfaces declare it (an invalid but representable state).
+        self._extent_owners: dict[str, str | tuple[str, ...]] = {}
+        #: True while a fork view still shares the position, link and
+        #: extent state with its base (see :meth:`_own_state`).
+        self._shares_state = False
         self._pending: set[str] = set()
         self._dirty = True
         self.rebuilds = 0
@@ -210,25 +268,36 @@ class ColumnarAdjacency:
         if kind == "scope":
             return
         self.version += 1
+        if self._base is not None and not self._dirty and self._overlay_stale():
+            self.mark_dirty()  # never fold into rows the base has edited
         if self._dirty:
             return
         name = record.interface
         if name is None:
-            if not replayable_kind(kind):
+            if kind == "reorder_interfaces":
+                self._renumber(record.payload["order"])
+            elif not replayable_kind(kind):
                 self.mark_dirty()
             return
         if kind == "add_interface":
-            self._define(
-                name, tuple(self._schema.interfaces[name].supertypes)
-            )
+            self._define(self._schema.interfaces[name])
             self._pending.add(name)
-        elif kind == "remove_interface":
+            return
+        if kind == "remove_interface":
             self._undefine(name)
-        elif kind in ISA_KINDS:
+            return
+        if kind in ISA_KINDS:
             self._isa_update(name, record)
-            self._pending.add(name)
+        elif kind == "set_extent":
+            self._set_extent(name, record.payload["extent"])
         else:
-            self._pending.add(name)
+            kinds = [
+                link for link, aspect in LINK_KINDS.items()
+                if aspect in record.aspects
+            ]
+            if kinds:
+                self._set_links(name, self._schema.interfaces[name], kinds)
+        self._pending.add(name)
 
     def mark_dirty(self) -> None:
         """Forget everything; the next query rebuilds from a scan."""
@@ -240,6 +309,14 @@ class ColumnarAdjacency:
         self._refs_out = []
         self._refs_in = []
         self._defined = bytearray()
+        self._position = array("q")
+        self._order = array("q")
+        self._next_position = 0
+        self._links = {kind: {} for kind in LINK_KINDS}
+        self._linked_from = {kind: {} for kind in LINK_KINDS}
+        self._extent = []
+        self._extent_owners = {}
+        self._shares_state = False
         self._pending = set()
         # A rebuild re-derives everything from this store's own schema,
         # so a fork view stops overlaying its base and owns all rows.
@@ -267,14 +344,37 @@ class ColumnarAdjacency:
             if row is not None:
                 column[ident] = array("i", row)
 
+    def _own_state(self) -> None:
+        """Privatise the shared position, link and extent state.
+
+        A fork view starts out sharing these containers with its base
+        (:meth:`fork_view`); its first write to any of them copies all
+        of them, so the base never sees the edit.  The values inside
+        are immutable, so shallow copies suffice.
+        """
+        if not self._shares_state:
+            return
+        self._shares_state = False
+        self._position = array("q", self._position)
+        self._order = array("q", self._order)
+        self._links = {kind: dict(m) for kind, m in self._links.items()}
+        self._linked_from = {
+            kind: dict(m) for kind, m in self._linked_from.items()
+        }
+        self._extent = list(self._extent)
+        self._extent_owners = dict(self._extent_owners)
+
     def _ensure_row(self, ident: int) -> None:
         grow = ident + 1 - len(self._parents)
         if grow > 0:
+            self._own_state()
             self._parents.extend([None] * grow)
             self._children.extend([None] * grow)
             self._refs_out.extend([None] * grow)
             self._refs_in.extend([None] * grow)
             self._defined.extend(b"\0" * grow)
+            self._position.extend(array("q", (-1,)) * grow)
+            self._extent.extend([None] * grow)
 
     def _release(self, ident: int) -> None:
         if self.table.release(ident):
@@ -324,18 +424,32 @@ class ColumnarAdjacency:
         for _ in range(occurrences):
             self._release(pid)
 
-    def _define(self, name: str, parents: tuple[str, ...]) -> None:
+    def _define(self, interface: "InterfaceDef") -> None:
+        """Wire a newly defined interface: id, position, links, extent."""
+        self._own_state()
+        name = interface.name
         ident = self.table.acquire(name)  # the "defined" reference
         self._ensure_row(ident)
         self._defined[ident] = 1
-        for parent in parents:
+        position = self._next_position
+        self._next_position = position + 1
+        self._position[ident] = position
+        self._order.append(position)
+        for parent in tuple(interface.supertypes):
             self._link_parent(ident, parent)
+        self._set_links(name, interface, LINK_KINDS)
+        self._set_extent(name, interface.extent)
 
     def _undefine(self, name: str) -> None:
         ident = self.table.id_of(name)
         if ident is None or not self._defined[ident]:
             self.mark_dirty()  # stream out of sync with the store
             return
+        self._own_state()
+        order = self._order
+        del order[bisect_left(order, self._position[ident])]
+        self._set_links(name, None, LINK_KINDS)
+        self._set_extent(name, None)
         row = self._parents[ident]
         if row:
             for pid in row:
@@ -380,6 +494,84 @@ class ColumnarAdjacency:
                 self._link_parent(ident, parent)
             for pid in released:
                 self._release(pid)
+
+    def _renumber(self, order: Iterable[str]) -> None:
+        """Positions 0..n-1 in *order* (the reorder record's payload)."""
+        self._own_state()
+        position = self._position
+        id_of = self.table.id_of
+        count = 0
+        for rank, name in enumerate(order):
+            ident = id_of(name)
+            if ident is None or not self._defined[ident]:
+                self.mark_dirty()  # stream out of sync with the store
+                return
+            position[ident] = rank
+            count = rank + 1
+        self._order = array("q", range(count))
+        self._next_position = count
+
+    def _set_links(
+        self,
+        name: str,
+        interface: "InterfaceDef | None",
+        kinds: Iterable[RelationshipKind],
+    ) -> None:
+        """Re-derive *name*'s to-many ends of each kind (None: removed)."""
+        for kind in kinds:
+            new = (
+                tuple(
+                    end.target_type
+                    for end in interface.relationships.values()
+                    if end.kind is kind and end.is_to_many
+                )
+                if interface is not None
+                else ()
+            )
+            old = self._links[kind].get(name, ())
+            if new == old:
+                continue
+            self._own_state()
+            links = self._links[kind]
+            if new:
+                links[name] = new
+            else:
+                del links[name]
+            linked_from = self._linked_from[kind]
+            for target in old:
+                owners = list(linked_from[target])
+                owners.remove(name)
+                if owners:
+                    linked_from[target] = tuple(owners)
+                else:
+                    del linked_from[target]
+            for target in new:
+                linked_from[target] = linked_from.get(target, ()) + (name,)
+
+    def _set_extent(self, name: str, extent: str | None) -> None:
+        ident = self.table.id_of(name)
+        if ident is None or not self._defined[ident]:
+            self.mark_dirty()
+            return
+        old = self._extent[ident]
+        if old == extent:
+            return
+        self._own_state()
+        owners = self._extent_owners
+        if old is not None:
+            held = owners.pop(old)
+            if not isinstance(held, str):
+                rest = tuple(owner for owner in held if owner != name)
+                owners[old] = rest[0] if len(rest) == 1 else rest
+        self._extent[ident] = extent
+        if extent is not None:
+            held = owners.get(extent)
+            if held is None:
+                owners[extent] = name
+            elif isinstance(held, str):
+                owners[extent] = (held, name)
+            else:
+                owners[extent] = held + (name,)
 
     def _clear_refs(self, ident: int) -> None:
         row = self._refs_out[ident]
@@ -448,7 +640,7 @@ class ColumnarAdjacency:
         self._dirty = False
         self.rebuilds += 1
         for interface in self._schema:
-            self._define(interface.name, tuple(interface.supertypes))
+            self._define(interface)
         for interface in self._schema:
             ident = self.table.id_of(interface.name)
             assert ident is not None
@@ -456,15 +648,26 @@ class ColumnarAdjacency:
 
     def ensure_fresh(self) -> bool:
         """Rebuild if dirty; True when a scan rebuild happened."""
-        base = self._base
-        if base is not None and base.version != self._base_version:
-            # The base mutated after the fork: shared rows may have been
-            # edited in place under us, so the overlay is unsound.  Drop
-            # it and rebuild from this store's own schema.
+        if self._base is not None and self._overlay_stale():
             self.mark_dirty()
         if self._dirty:
             self._rebuild()
             return True
+        return False
+
+    def _overlay_stale(self) -> bool:
+        """Whether a store this view overlays mutated after the fork.
+
+        That is the base, or the base's own base for a fork of a fork:
+        every store up the chain edits its own rows (and the state
+        shared with it) in place, so any such write makes the overlay
+        unsound, and the view must rebuild from its own schema.
+        """
+        view, base = self, self._base
+        while base is not None:
+            if base.version != view._base_version:
+                return True
+            view, base = base, base._base
         return False
 
     def fork_view(self, schema: "Schema") -> "ColumnarAdjacency":
@@ -472,7 +675,9 @@ class ColumnarAdjacency:
 
         O(ids) pointer work: the name table, outer column lists, and
         defined bits are copied; the inner ``array('i')`` rows are
-        shared and privatised lazily by :meth:`_own`.  The view pins
+        shared and privatised lazily by :meth:`_own`, and the position,
+        link and extent state is shared until the view first writes it
+        (:meth:`_own_state`).  The view pins
         :attr:`version` so any later base mutation invalidates it
         (see :meth:`ensure_fresh`); while the base stays unmutated the
         fork answers queries with zero scan rebuilds.
@@ -489,6 +694,14 @@ class ColumnarAdjacency:
         dup._refs_out = list(self._refs_out)
         dup._refs_in = list(self._refs_in)
         dup._defined = bytearray(self._defined)
+        dup._position = self._position
+        dup._order = self._order
+        dup._next_position = self._next_position
+        dup._links = self._links
+        dup._linked_from = self._linked_from
+        dup._extent = self._extent
+        dup._extent_owners = self._extent_owners
+        dup._shares_state = True
         dup._pending = set()
         dup._dirty = False
         dup.rebuilds = 0
@@ -577,6 +790,144 @@ class ColumnarAdjacency:
             return frozenset()
         name_of = self.table.name_of
         return frozenset(name_of(i) for i in row)
+
+    def children_of(self, name: str) -> list[str]:
+        """Defined interfaces listing *name* as a supertype, unordered.
+
+        *name* may be dangling: its children row lives on as long as a
+        subtype still lists it.
+        """
+        self.ensure_fresh()
+        ident = self.table.id_of(name)
+        if ident is None:
+            return []
+        row = self._children[ident]
+        if not row:
+            return []
+        name_of = self.table.name_of
+        return [name_of(child) for child in row]
+
+    def ancestors_of(self, name: str) -> set[str]:
+        """Transitive *resolved* supertypes of *name* (parent rows)."""
+        self.ensure_fresh()
+        ident = self.table.id_of(name)
+        if ident is None or not self._defined[ident]:
+            return set()
+        parents = self._parents
+        defined = self._defined
+        seen: set[int] = set()
+        frontier = [ident]
+        while frontier:
+            row = parents[frontier.pop()]
+            if not row:
+                continue
+            for parent in row:
+                if defined[parent] and parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        name_of = self.table.name_of
+        return {name_of(i) for i in seen}
+
+    def generalization_roots(self) -> list[str]:
+        """Defined types with subtypes but no resolved supertype."""
+        self.ensure_fresh()
+        parents = self._parents
+        defined = self._defined
+        name_of = self.table.name_of
+        roots = [
+            name_of(ident)
+            for ident, row in enumerate(self._children)
+            if row
+            and defined[ident]
+            and not any(defined[p] for p in parents[ident] or ())
+        ]
+        return self.in_declaration_order(roots)
+
+    # -- declaration order ----------------------------------------------
+
+    def in_declaration_order(self, names: Iterable[str]) -> list[str]:
+        """Defined *names* sorted by declaration position."""
+        self.ensure_fresh()
+        position = self._position
+        id_of = self.table.id_of
+        return sorted(names, key=lambda name: position[id_of(name)])
+
+    def position_of(self, name: str) -> int:
+        """Declaration sort key of defined *name* (ordered, not dense)."""
+        self.ensure_fresh()
+        return self._position[self.table.id_of(name)]
+
+    def declaration_rank(self, name: str) -> int:
+        """Index of defined *name* in declaration order: one bisect."""
+        self.ensure_fresh()
+        return bisect_left(self._order, self._position[self.table.id_of(name)])
+
+    def declaration_order(self) -> dict[str, int]:
+        """Defined name -> contiguous declaration rank (built on demand)."""
+        self.ensure_fresh()
+        name_of = self.table.name_of
+        names = [
+            name_of(ident)
+            for ident, defined in enumerate(self._defined)
+            if defined
+        ]
+        return {
+            name: rank
+            for rank, name in enumerate(self.in_declaration_order(names))
+        }
+
+    # -- part-of / instance-of links ------------------------------------
+
+    def link_edges(
+        self, kind: RelationshipKind
+    ) -> list[tuple[str, str, RelationshipEnd]]:
+        """(owner, target, to-many end) triples in declaration order.
+
+        The owners come from the link state; their ends are read off
+        the live interfaces, so the listing is ``scan_link_edges``'s,
+        list for list, at O(owners + edges).
+        """
+        self.ensure_fresh()
+        interfaces = self._schema.interfaces
+        return [
+            (owner, end.target_type, end)
+            for owner in self.in_declaration_order(self._links[kind])
+            for end in interfaces[owner].relationships.values()
+            if end.kind is kind and end.is_to_many
+        ]
+
+    def link_edge_count(self, kind: RelationshipKind) -> int:
+        self.ensure_fresh()
+        return sum(map(len, self._links[kind].values()))
+
+    def link_targets(self, kind: RelationshipKind, name: str) -> list[str]:
+        """Targets of *name*'s to-many ends of *kind*, in end order."""
+        self.ensure_fresh()
+        return list(self._links[kind].get(name, ()))
+
+    def link_sources(self, kind: RelationshipKind, name: str) -> list[str]:
+        """Owners of to-many *kind* ends targeting *name*, one per edge,
+        in declaration order."""
+        self.ensure_fresh()
+        return self.in_declaration_order(
+            self._linked_from[kind].get(name, ())
+        )
+
+    def link_roots(self, kind: RelationshipKind) -> list[str]:
+        """Owners of *kind* edges that are no edge's target."""
+        self.ensure_fresh()
+        linked_from = self._linked_from[kind]
+        return self.in_declaration_order(
+            owner for owner in self._links[kind] if owner not in linked_from
+        )
+
+    def extent_owners(self, extent: str) -> list[str]:
+        """Interfaces declaring *extent*, in declaration order."""
+        self.ensure_fresh()
+        held = self._extent_owners.get(extent, ())
+        if isinstance(held, str):
+            return [held]
+        return self.in_declaration_order(held)
 
     # ------------------------------------------------------------------
     # Differential exports (dict-shaped views of the columns)
@@ -678,6 +1029,13 @@ class ColumnarAdjacency:
                 )
             if self.table.id_of(name) != ident:
                 problems.append(f"name {name!r} does not map back to {ident}")
+        live = sorted(
+            self._position[ident]
+            for ident in range(self.table.capacity)
+            if self._defined[ident]
+        )
+        if array("q", live) != self._order:
+            problems.append("live declaration positions != the sorted order")
         # refs_in must be exactly the transpose of refs_out.
         transpose: dict[int, set[int]] = {}
         for owner, row in enumerate(self._refs_out):

@@ -1,41 +1,49 @@
-"""Memoized reverse-adjacency indexes over a schema's link graphs.
+"""Spine-fed graph state behind every link-graph query a schema answers.
 
 Every concept-schema extraction, propagation expansion, and consistency
-pass bottoms out in :class:`~repro.model.schema.Schema`'s graph queries.
-Answering them by scanning all interfaces makes ``descendants`` O(N^2)
-and rebuilds the complete part-of edge list on every ``parts`` call.
-:class:`SchemaIndex` maintains the reverse direction of each link family
-once and answers from dictionaries instead:
+pass bottoms out in :class:`~repro.model.schema.Schema`'s graph queries,
+and the paper's designer re-validates after every single edit.
+Answering them by scanning all interfaces makes one edit cost
+O(types).  :class:`SchemaIndex` answers them from state the mutation
+spine keeps current instead (the columnar store,
+:class:`~repro.model.columnar.ColumnarAdjacency`):
 
-* ``subtype_map``     -- supertype name -> direct subtype names,
-* ``parts_map``       -- whole name -> direct part names,
-* ``wholes_map``      -- part name -> direct whole names,
-* ``instance_map``    -- generic name -> direct instance names,
-* ``generic_map``     -- instance name -> direct generic names,
-* ``part_of_edges`` / ``instance_of_edges`` -- the cached edge triples,
-* ``relationship_pairs`` -- the cached (owner, end) listing,
-* ``declaration_order``  -- interface name -> declaration position.
+* ``subtypes_of`` / ``descendants_of`` / ``ancestors_of`` /
+  ``generalization_roots`` -- the ISA parent and child rows;
+* ``referencers_of`` / ``ends_targeting`` -- the reverse-reference rows;
+* ``part_of_edges`` / ``instance_of_edges``, ``parts_of`` /
+  ``wholes_of`` / ``instances_of`` / ``generics_of`` and the link
+  roots -- the owners of to-many part-of / instance-of ends;
+* ``in_declaration_order`` / ``declaration_rank`` -- a declaration
+  position per name;
+* ``extent_owners`` -- who declares an extent name.
+
+Each record re-derives only its own owner, so an edit costs O(changed).
+Results that must come out in declaration order sort their few names
+by position; no query filters the whole type list.  The whole maps the
+verification differentials compare (``subtype_map``,
+``declaration_order``) are built from the same state on demand, and
+never cached.  The one remaining stamped cache is
+``relationship_pairs``, a whole-schema listing stamped per aspect with
+:class:`~repro.model.mutation.AspectClock`.
 
 **Invalidation contract.**  The index is a subscriber of the schema's
-mutation spine (:mod:`repro.model.mutation`): ``Schema.generation`` is
-the spine's monotonic ``seq``, bumped by every emitted
-:class:`~repro.model.mutation.MutationRecord` -- i.e. by every mutator
-on :class:`~repro.model.schema.Schema` and
-:class:`~repro.model.interface.InterfaceDef`.  Each cache family is
-stamped with the generation it was built at; a query whose stamp no
-longer matches rebuilds that family lazily.  Code that mutates schema
-content without going through a mutator (direct container assignment)
-must call ``Schema.touch()`` itself -- see DESIGN.md §5e.
+mutation spine (:mod:`repro.model.mutation`).  A lossy record
+(``Schema.touch()`` or an unknown kind) makes the columnar store rescan
+the schema on the next query; code that mutates schema content without
+going through a mutator must call ``Schema.touch()`` itself -- see
+DESIGN.md §5e.
 
 The module also ships the ``scan_*`` reference implementations: the
 original full-scan queries, kept as the executable specification the
-index is validated against (property tests) and benchmarked against
+index is validated against (property tests and the ``index-*-vs-scan``
+invariants) and benchmarked against
 (``benchmarks/test_bench_index_scaling.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.model.columnar import ColumnarAdjacency
 from repro.model.mutation import ORDER_CLOCK, Aspect, AspectClock, MutationRecord
@@ -47,14 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (one-side owner, many-side target, to-many end) of one hierarchy link.
 Edge = tuple[str, str, RelationshipEnd]
 
+_PART_OF = RelationshipKind.PART_OF
+_INSTANCE_OF = RelationshipKind.INSTANCE_OF
 
-# Aspect-sharded stamp dependencies per cache family.  A family rebuilds
-# only when a record carrying one of its dependency clocks has landed on
-# the spine since it was built (membership and declaration order affect
-# every listing's content or ordering).
-_ISA_DEPS = (Aspect.ISA, Aspect.MEMBERSHIP, ORDER_CLOCK)
-_PART_DEPS = (Aspect.REL_PART_OF, Aspect.MEMBERSHIP, ORDER_CLOCK)
-_INSTANCE_DEPS = (Aspect.REL_INSTANCE_OF, Aspect.MEMBERSHIP, ORDER_CLOCK)
+# The relationship-pair listing rebuilds only when a record carrying one
+# of these clocks has landed on the spine since it was built.
 _PAIR_DEPS = (
     Aspect.REL_ASSOCIATION,
     Aspect.REL_PART_OF,
@@ -62,39 +67,31 @@ _PAIR_DEPS = (
     Aspect.MEMBERSHIP,
     ORDER_CLOCK,
 )
-_ORDER_DEPS = (Aspect.MEMBERSHIP, ORDER_CLOCK)
 
 
 class SchemaIndex:
-    """Aspect-stamped caches plus the columnar incremental adjacency.
+    """The columnar store behind the graph queries, plus one stamped listing.
 
-    Two complementary mechanisms keep graph queries fast at 100k types:
-
-    * **Aspect-sharded stamps** -- each scan-built cache family stamps
-      the :class:`~repro.model.mutation.AspectClock` counters of only
-      the aspects whose records can change it, so an attribute edit no
-      longer forces an O(N) subtype-map rebuild.
-    * **Columnar adjacency** -- ISA parents/children and the reverse
-      reference map live in :class:`~repro.model.columnar.
-      ColumnarAdjacency`: interned-name integer ids over flat
-      ``array('i')`` rows with free-list id reuse, folded
-      record-by-record from the spine, so ``descendants`` and "who
-      references type X" answer in O(result) with no per-mutation
-      rebuild at all and no per-edge container overhead.  The previous
-      dict implementation survives as :class:`~repro.model.columnar.
-      DictAdjacency`, the differential reference spec.
+    The columnar store (:class:`~repro.model.columnar.
+    ColumnarAdjacency`) is folded record by record from the spine:
+    interned-name integer ids over flat ``array('i')`` rows with
+    free-list id reuse for ISA and references, plus positions, link
+    owners and extent owners.  Queries answer in O(result).
+    ``relationship_pairs`` is the one whole-schema listing still built
+    by scan; it stamps the :class:`~repro.model.mutation.AspectClock`
+    counters of the aspects that can change it.
 
     ``scope`` records are declarative annotations (belt-and-suspenders
     for the validation journal's dirty-name set); actual content changes
     always land as mutator records (the ``spine`` lint pass and the
     spine differentials enforce this), so they advance no clock here.
-    Lossy records (``touch`` / unknown kinds) invalidate everything.
     """
 
     __slots__ = (
         "_schema",
-        "_caches",
+        "_pairs",
         "_clock",
+        "_answered",
         "adjacency",
         "hits",
         "misses",
@@ -103,14 +100,16 @@ class SchemaIndex:
 
     def __init__(self, schema: "Schema") -> None:
         self._schema = schema
-        self._caches: dict[str, tuple[object, object]] = {}
+        self._pairs: tuple[tuple[int, ...], list] | None = None
         self._clock = AspectClock()
-        #: The columnar (struct-of-arrays) ISA / reverse-reference store:
-        #: interned-name ids, flat ``array('i')`` rows, free-list reuse.
-        #: The dict implementation it replaced survives as
-        #: :class:`repro.model.columnar.DictAdjacency`, the reference
-        #: spec the ``columnar-vs-dict-adjacency`` differential holds
-        #: this store to.
+        #: Whether the columnar store has answered a query yet: a scan
+        #: after that is a rescan (counted in ``rebuilds``), the first
+        #: one a cold build (a miss).
+        self._answered = False
+        #: The columnar store; the dict implementation it replaced
+        #: survives as :class:`repro.model.columnar.DictAdjacency`, the
+        #: reference spec the ``columnar-vs-dict-adjacency``
+        #: differential holds its ISA and reference columns to.
         self.adjacency = ColumnarAdjacency(schema)
         self.hits = 0
         self.misses = 0
@@ -122,7 +121,7 @@ class SchemaIndex:
     # ------------------------------------------------------------------
 
     def _observe(self, record: MutationRecord) -> None:
-        """Fold one mutation record into clocks and the columnar store."""
+        """Fold one mutation record into the clock and the columnar store."""
         if record.kind == "scope":
             return
         self._clock.observe(record)
@@ -133,82 +132,47 @@ class SchemaIndex:
 
         Called by ``Schema.fork`` right after the fork's fresh index is
         wired: replaces the cold (dirty) columnar store with a CoW
-        overlay of the parent's, so the fork's first graph query costs
-        O(ids) pointer copies instead of an O(types) scan rebuild.  The
-        sharded dict caches stay cold -- they are already lazy and
-        per-family.  ``_observe`` looks ``self.adjacency`` up
-        dynamically, so swapping the store here keeps the spine
-        subscription intact.
+        overlay of the parent's -- ISA and reference rows, positions,
+        link and extent owners as of the fork -- so the fork's first
+        graph query costs no O(types) scan.  The overlay pins the
+        parent's version: a later parent mutation makes the fork rescan
+        its own schema, so it never sees that mutation.  ``_observe``
+        looks ``self.adjacency`` up dynamically, so swapping the store
+        here keeps the spine subscription intact.
         """
         self.adjacency = parent.adjacency.fork_view(self._schema)
+        self._answered = True
 
-    def _count_adjacency(self, rebuilt: bool) -> None:
-        """Keep the hit/miss counters honest for columnar answers."""
-        if rebuilt:
+    def _fresh(self) -> ColumnarAdjacency:
+        """The columnar store, rescanned first if it went stale."""
+        adjacency = self.adjacency
+        if adjacency.ensure_fresh():
             self.misses += 1
+            if self._answered:
+                self.rebuilds += 1
         else:
             self.hits += 1
-
-    # ------------------------------------------------------------------
-    # Cache machinery
-    # ------------------------------------------------------------------
-
-    def _get(self, family: str, builder: Callable[[], object]) -> object:
-        generation = self._schema.generation
-        cached = self._caches.get(family)
-        if cached is not None:
-            if cached[0] == generation:
-                self.hits += 1
-                return cached[1]
-            self.rebuilds += 1
-        self.misses += 1
-        value = builder()
-        self._caches[family] = (generation, value)
-        return value
-
-    def _get_sharded(
-        self,
-        family: str,
-        deps: tuple[object, ...],
-        builder: Callable[[], object],
-    ) -> object:
-        """Like :meth:`_get` but stamped with per-aspect clocks."""
-        stamp = self._clock.stamp(deps)
-        cached = self._caches.get(family)
-        if cached is not None:
-            if cached[0] == stamp:
-                self.hits += 1
-                return cached[1]
-            self.rebuilds += 1
-        self.misses += 1
-        value = builder()
-        self._caches[family] = (stamp, value)
-        return value
+        self._answered = True
+        return adjacency
 
     def invalidate(self) -> None:
-        """Drop every cache family (normally the stamps suffice)."""
-        self._caches.clear()
+        """Drop all derived state (normally the spine feed suffices)."""
+        self._pairs = None
         self.adjacency.mark_dirty()
 
-    def memo(self, family: str, builder: Callable[[], object]) -> object:
-        """Generation-stamped memoization for derived whole-schema values.
-
-        Callers own the *family* namespace (prefix it); the cached value
-        is dropped automatically when the schema's generation moves, so
-        the value must be a pure function of schema content.  Used by
-        the verification engine to avoid re-fingerprinting an unchanged
-        schema between differential checks.
-        """
-        return self._get(family, builder)
-
     def stats(self) -> dict[str, int]:
-        """Hit / miss / rebuild counters plus current cache residency."""
+        """Hit / miss / rebuild counters plus columnar-store sizes.
+
+        ``rebuilds`` counts every whole-schema rebuild the index still
+        does: a stale ``relationship_pairs`` listing, or a rescan of the
+        columnar store after a lossy record or a base mutation under a
+        fork.
+        """
         adjacency = self.adjacency.stats()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "rebuilds": self.rebuilds,
-            "cached_families": len(self._caches),
             "generation": self._schema.generation,
             "adjacency_ids": adjacency["ids"],
             "adjacency_capacity": adjacency["capacity"],
@@ -223,26 +187,43 @@ class SchemaIndex:
         self.rebuilds = 0
 
     # ------------------------------------------------------------------
+    # Declaration order
+    # ------------------------------------------------------------------
+
+    def in_declaration_order(self, names) -> list[str]:
+        """Defined *names* sorted by declaration position."""
+        return self._fresh().in_declaration_order(names)
+
+    def position_of(self, name: str) -> int:
+        """Declaration sort key of defined *name*: ordered like the
+        declaration, but not contiguous."""
+        return self._fresh().position_of(name)
+
+    def declaration_rank(self, name: str) -> int:
+        """Index of defined *name* in ``Schema.type_names()``."""
+        return self._fresh().declaration_rank(name)
+
+    def declaration_order(self) -> dict[str, int]:
+        """Interface name -> position in declaration order (on demand)."""
+        return self._fresh().declaration_order()
+
+    # ------------------------------------------------------------------
     # Generalization hierarchy
     # ------------------------------------------------------------------
 
-    def subtype_map(self) -> dict[str, list[str]]:
-        """Supertype name -> direct subtypes, in declaration order.
+    def subtypes_of(self, name: str) -> list[str]:
+        """Direct subtypes of *name* (defined or dangling), in
+        declaration order."""
+        adjacency = self._fresh()
+        return adjacency.in_declaration_order(adjacency.children_of(name))
 
-        Keys include dangling supertype names (a subtype may reference a
-        type the schema does not define); resolution against the schema
-        is the caller's concern.
-        """
-        return self._get_sharded(  # type: ignore[return-value]
-            "subtypes", _ISA_DEPS, self._build_subtype_map
-        )
+    def children_of(self, name: str) -> list[str]:
+        """Direct subtypes of *name* in no particular order."""
+        return self._fresh().children_of(name)
 
-    def _build_subtype_map(self) -> dict[str, list[str]]:
-        result: dict[str, list[str]] = {}
-        for interface in self._schema:
-            for supertype in interface.supertypes:
-                result.setdefault(supertype, []).append(interface.name)
-        return result
+    def ancestors_of(self, name: str) -> set[str]:
+        """Transitive resolved supertypes of *name*."""
+        return self._fresh().ancestors_of(name)
 
     def descendants_of(self, name: str) -> set[str]:
         """Transitive subtypes of *name*; excludes *name* itself.
@@ -251,14 +232,28 @@ class SchemaIndex:
         ISA-children rows, folded record-by-record from the spine, so a
         100-op plan pays O(ops) maintenance instead of O(N) rebuilds.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.descendants_of(name)
+        return self._fresh().descendants_of(name)
 
     def descendants_closure(self, seeds: set[str]) -> set[str]:
         """Every descendant of any seed, the seeds themselves excluded
         unless reachable from another seed."""
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.descendants_closure(seeds)
+        return self._fresh().descendants_closure(seeds)
+
+    def generalization_roots(self) -> list[str]:
+        """Types with subtypes but no resolved supertypes."""
+        return self._fresh().generalization_roots()
+
+    def subtype_map(self) -> dict[str, list[str]]:
+        """Supertype name -> direct subtypes, in declaration order.
+
+        Built on demand from the child rows (keys include dangling
+        supertype names); for whole-map callers, not for edits.
+        """
+        adjacency = self._fresh()
+        return {
+            parent: adjacency.in_declaration_order(children)
+            for parent, children in adjacency.isa_children_map().items()
+        }
 
     # ------------------------------------------------------------------
     # Reverse references (who mentions type X?)
@@ -273,8 +268,7 @@ class SchemaIndex:
         incrementally: a mutator record only marks its owner pending,
         and pending owners re-derive their reference rows lazily.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.referencers_of(target)
+        return self._fresh().referencers_of(target)
 
     def ends_targeting(
         self, targets: set[str]
@@ -285,22 +279,23 @@ class SchemaIndex:
         from the incremental reverse-reference rows: an end targeting X
         implies its owner references X (``referenced_type_names``
         includes every end's target type), so only referencing owners'
-        end lists are inspected — no whole-schema pair listing rebuild.
+        end lists are inspected, sorted by declaration position.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        owners: set[str] = set(targets)
+        adjacency = self._fresh()
+        interfaces = self._schema.interfaces
+        owners: set[str] = {name for name in targets if name in interfaces}
         for target in targets:
-            owners.update(self.adjacency.referencers_of(target))
-        pairs: list[tuple[str, RelationshipEnd]] = []
-        if not owners:
-            return pairs
-        for name in self._schema.interfaces:
-            if name not in owners:
-                continue
-            for end in self._schema.interfaces[name].relationships.values():
-                if end.target_type in targets:
-                    pairs.append((name, end))
-        return pairs
+            owners.update(adjacency.referencers_of(target))
+        return [
+            (owner, end)
+            for owner in adjacency.in_declaration_order(owners)
+            for end in interfaces[owner].relationships.values()
+            if end.target_type in targets
+        ]
+
+    def extent_owners(self, extent: str) -> list[str]:
+        """Interfaces declaring the extent name, in declaration order."""
+        return self._fresh().extent_owners(extent)
 
     # ------------------------------------------------------------------
     # Part-of / instance-of hierarchies
@@ -308,60 +303,43 @@ class SchemaIndex:
 
     def part_of_edges(self) -> list[Edge]:
         """(whole, part, to-parts end) triples, in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "part_edges",
-            _PART_DEPS,
-            lambda: scan_link_edges(self._schema, RelationshipKind.PART_OF),
-        )
+        return self._fresh().link_edges(_PART_OF)
 
     def instance_of_edges(self) -> list[Edge]:
         """(generic, instance, to-instances end) triples."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "instance_edges",
-            _INSTANCE_DEPS,
-            lambda: scan_link_edges(self._schema, RelationshipKind.INSTANCE_OF),
-        )
+        return self._fresh().link_edges(_INSTANCE_OF)
 
     def part_of_edge_count(self) -> int:
-        """Number of part-of edges without copying the edge list.
-
-        ``Schema.stats()`` used to materialise a fresh edge-list copy
-        just to ``len()`` it; this answers from the cached family in
-        O(1) once built.
-        """
-        return len(self.part_of_edges())
+        """Number of part-of edges without listing them."""
+        return self._fresh().link_edge_count(_PART_OF)
 
     def instance_of_edge_count(self) -> int:
-        """Number of instance-of edges without copying the edge list."""
-        return len(self.instance_of_edges())
+        """Number of instance-of edges without listing them."""
+        return self._fresh().link_edge_count(_INSTANCE_OF)
 
-    def parts_map(self) -> dict[str, list[str]]:
-        """Whole name -> direct part names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "parts", _PART_DEPS, lambda: _forward_map(self.part_of_edges())
-        )
+    def parts_of(self, name: str) -> list[str]:
+        """Direct parts of *name*, in end order (one per edge)."""
+        return self._fresh().link_targets(_PART_OF, name)
 
-    def wholes_map(self) -> dict[str, list[str]]:
-        """Part name -> direct whole names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "wholes", _PART_DEPS, lambda: _reverse_map(self.part_of_edges())
-        )
+    def wholes_of(self, name: str) -> list[str]:
+        """Direct wholes of *name*, in declaration order (one per edge)."""
+        return self._fresh().link_sources(_PART_OF, name)
 
-    def instance_map(self) -> dict[str, list[str]]:
-        """Generic name -> direct instance names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "instances",
-            _INSTANCE_DEPS,
-            lambda: _forward_map(self.instance_of_edges()),
-        )
+    def instances_of(self, name: str) -> list[str]:
+        """Direct instances of the generic *name* (one per edge)."""
+        return self._fresh().link_targets(_INSTANCE_OF, name)
 
-    def generic_map(self) -> dict[str, list[str]]:
-        """Instance name -> direct generic names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "generics",
-            _INSTANCE_DEPS,
-            lambda: _reverse_map(self.instance_of_edges()),
-        )
+    def generics_of(self, name: str) -> list[str]:
+        """Direct generics of *name*, in declaration order."""
+        return self._fresh().link_sources(_INSTANCE_OF, name)
+
+    def aggregation_roots(self) -> list[str]:
+        """Wholes that are not themselves parts of anything."""
+        return self._fresh().link_roots(_PART_OF)
+
+    def instance_of_roots(self) -> list[str]:
+        """Generic entities that are not instances of anything."""
+        return self._fresh().link_roots(_INSTANCE_OF)
 
     # ------------------------------------------------------------------
     # Whole-schema listings
@@ -369,31 +347,17 @@ class SchemaIndex:
 
     def relationship_pairs(self) -> list[tuple[str, RelationshipEnd]]:
         """Every (owner name, end) pair in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "pairs", _PAIR_DEPS, lambda: scan_relationship_pairs(self._schema)
-        )
-
-    def declaration_order(self) -> dict[str, int]:
-        """Interface name -> position in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "order",
-            _ORDER_DEPS,
-            lambda: {name: i for i, name in enumerate(self._schema.interfaces)},
-        )
-
-
-def _forward_map(edges: list[Edge]) -> dict[str, list[str]]:
-    result: dict[str, list[str]] = {}
-    for owner, target, _ in edges:
-        result.setdefault(owner, []).append(target)
-    return result
-
-
-def _reverse_map(edges: list[Edge]) -> dict[str, list[str]]:
-    result: dict[str, list[str]] = {}
-    for owner, target, _ in edges:
-        result.setdefault(target, []).append(owner)
-    return result
+        stamp = self._clock.stamp(_PAIR_DEPS)
+        cached = self._pairs
+        if cached is not None:
+            if cached[0] == stamp:
+                self.hits += 1
+                return cached[1]
+            self.rebuilds += 1
+        self.misses += 1
+        pairs = scan_relationship_pairs(self._schema)
+        self._pairs = (stamp, pairs)
+        return pairs
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,9 @@ The queries here are purely structural; validation rules live in
 
 Change propagation runs through one channel: every mutation lands a
 :class:`~repro.model.mutation.MutationRecord` on the schema's
-:class:`~repro.model.mutation.MutationLog`, and the cache layers (index
-generation, validation dirty journal, fingerprint memos) are subscribers
-of that spine -- see DESIGN.md §5e.
+:class:`~repro.model.mutation.MutationLog`, and the cache layers (the
+index's columnar store, validation dirty journal, fingerprint memos)
+are subscribers of that spine -- see DESIGN.md §5e.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Schema:
 
     @property
     def generation(self) -> int:
-        """Monotonic mutation counter; stamps the index's caches.
+        """Monotonic mutation counter; stamps derived-value caches.
 
         Derived from the spine -- the generation *is* the log's sequence
         number, so any emitted record invalidates stamped caches.
@@ -116,7 +116,7 @@ class Schema:
 
     @property
     def index(self) -> SchemaIndex:
-        """The memoized reverse-adjacency index over this schema."""
+        """The spine-fed graph index over this schema."""
         return self._index
 
     @property
@@ -364,7 +364,7 @@ class Schema:
 
     def subtypes(self, name: str) -> list[str]:
         """Direct subtypes of *name*, in declaration order."""
-        return list(self._index.subtype_map().get(name, ()))
+        return self._index.subtypes_of(name)
 
     def ancestors(self, name: str) -> set[str]:
         """All (transitive) supertypes of *name*; excludes *name* itself.
@@ -372,26 +372,11 @@ class Schema:
         Only *resolved* supertypes count: a dangling supertype name is
         not a type of this schema, and including it would make
         ``isa_related`` asymmetric with ``descendants`` (which can never
-        reach an undefined type).
+        reach an undefined type).  Walks the index's columnar parent
+        rows; ``scan_ancestors`` is the reference.
         """
-        interfaces = self.interfaces
-        result: set[str] = set()
-        frontier = [
-            supertype
-            for supertype in self._lookup(name).supertypes
-            if supertype in interfaces
-        ]
-        while frontier:
-            current = frontier.pop()
-            if current in result:
-                continue
-            result.add(current)
-            frontier.extend(
-                supertype
-                for supertype in interfaces[current].supertypes
-                if supertype in interfaces
-            )
-        return result
+        self._lookup(name)  # raise for unknown types
+        return self._index.ancestors_of(name)
 
     def descendants(self, name: str) -> set[str]:
         """All (transitive) subtypes of *name*; excludes *name* itself.
@@ -420,14 +405,7 @@ class Schema:
         A type whose only supertypes are dangling names tops every ISA
         path that actually exists in the schema, so it counts as a root.
         """
-        subtype_map = self._index.subtype_map()
-        interfaces = self.interfaces
-        return [
-            interface.name
-            for interface in self
-            if interface.name in subtype_map
-            and not any(s in interfaces for s in interface.supertypes)
-        ]
+        return self._index.generalization_roots()
 
     def inherited_attributes(self, name: str) -> dict[str, str]:
         """Map attribute name -> defining type, walking supertypes.
@@ -474,37 +452,27 @@ class Schema:
 
     def part_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(whole, part, to-parts end) triples, in declaration order."""
-        return list(self._index.part_of_edges())
+        return self._index.part_of_edges()
 
     def instance_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(generic, instance, to-instances end) triples."""
-        return list(self._index.instance_of_edges())
+        return self._index.instance_of_edges()
 
     def parts(self, name: str) -> list[str]:
         """Direct components of *name* in the aggregation hierarchy."""
-        return list(self._index.parts_map().get(name, ()))
+        return self._index.parts_of(name)
 
     def wholes(self, name: str) -> list[str]:
         """Direct wholes that *name* is a component of."""
-        return list(self._index.wholes_map().get(name, ()))
+        return self._index.wholes_of(name)
 
     def aggregation_roots(self) -> list[str]:
         """Wholes that are not themselves parts of anything."""
-        wholes = self._index.parts_map()
-        parts = self._index.wholes_map()
-        return [
-            name for name in self.type_names()
-            if name in wholes and name not in parts
-        ]
+        return self._index.aggregation_roots()
 
     def instance_of_roots(self) -> list[str]:
         """Generic entities that are not instances of anything."""
-        generics = self._index.instance_map()
-        instances = self._index.generic_map()
-        return [
-            name for name in self.type_names()
-            if name in generics and name not in instances
-        ]
+        return self._index.instance_of_roots()
 
     # ------------------------------------------------------------------
     # Whole-schema helpers

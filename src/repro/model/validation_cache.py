@@ -32,9 +32,9 @@ From the journal the cache closes over the rule scopes declared in
 2. inheritance closure: seeds touched in an aspect of
    :data:`~repro.model.validation.DESCEND_ASPECTS` spread to their
    transitive subtypes (inherited attributes feed key and order-by
-   resolution), walked over the index's ``subtype_map`` — whose keys
-   include *dangling* supertype names, so adding or removing a type
-   reaches the subtrees that (un)resolved under it;
+   resolution), walked over the index's columnar child rows — which
+   dangling supertype names keep, so adding or removing a type reaches
+   the subtrees that (un)resolved under it;
 3. reference closure: interfaces that reference any closed-over name
    are re-checked too (inverse declarations, order-by targets, and
    dangling references all read other interfaces).  The referencers come
@@ -62,6 +62,17 @@ The multi-root warning is cached per weak component of the
 generalization graph; touched components (plus members of cached
 entries they split from or merge into) are recomputed and the report is
 re-sorted by first-member declaration order, matching the full scan.
+
+Assembly
+--------
+
+The issue list is rebuilt after every validation, but only from the
+interfaces that hold issues: the cache tracks the names whose slot
+tuples are non-empty and emits their slots sorted by declaration
+position (the index keeps one per name), then the cycle findings, then
+keys and order-by, then the multi-root findings by their members'
+smallest position.  An edit therefore costs O(changed + issues), never
+a walk over every type name.
 
 The full scan stays the byte-for-byte reference: the
 ``incremental-vs-full-validation`` invariant in
@@ -96,8 +107,9 @@ if TYPE_CHECKING:
 #: Issue tuples of one interface, slot-aligned with ``INTERFACE_RULES``.
 _Slots = tuple[tuple[Issue, ...], ...]
 
-#: One cached multi-root finding: the component's members and its issue.
-_ComponentEntry = tuple[frozenset[str], Issue]
+#: One cached multi-root finding: the component's members, its issue,
+#: and its members' smallest declaration position (the report's order).
+_ComponentEntry = tuple[frozenset[str], Issue, int]
 
 
 class _CycleFamily:
@@ -126,21 +138,21 @@ def _isa_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     for supertype in interfaces[name].supertypes:
         if supertype in interfaces:
             yield supertype
-    yield from schema.index.subtype_map().get(name, ())
+    yield from schema.index.children_of(name)
 
 
 def _part_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the aggregation graph."""
     index = schema.index
-    yield from index.parts_map().get(name, ())
-    yield from index.wholes_map().get(name, ())
+    yield from index.parts_of(name)
+    yield from index.wholes_of(name)
 
 
 def _instance_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the instance-of graph."""
     index = schema.index
-    yield from index.instance_map().get(name, ())
-    yield from index.generic_map().get(name, ())
+    yield from index.instances_of(name)
+    yield from index.generics_of(name)
 
 
 def _part_of_successors_fast(
@@ -150,24 +162,18 @@ def _part_of_successors_fast(
 
     The reference spec builds its successor map from the
     ``scan_link_edges`` full scan (it must stay cache-independent); the
-    cache is *allowed* to lean on :class:`SchemaIndex`, whose
-    ``part_of_edges`` caches the identical edge list, so the two
-    builders agree entry for entry.
+    cache reads one node's parts off the index's link state, which
+    lists a whole's parts in the same end order, so the two successor
+    functions agree entry for entry.
     """
-    edges: dict[str, list[str]] = {}
-    for whole, part, _ in schema.part_of_edges():
-        edges.setdefault(whole, []).append(part)
-    return lambda n: edges.get(n, ())
+    return schema.index.parts_of
 
 
 def _instance_of_successors_fast(
     schema: "Schema",
 ) -> Callable[[str], Iterable[str]]:
     """Index-backed twin of ``validation.instance_of_successors``."""
-    edges: dict[str, list[str]] = {}
-    for generic, instance, _ in schema.instance_of_edges():
-        edges.setdefault(generic, []).append(instance)
-    return lambda n: edges.get(n, ())
+    return schema.index.instances_of
 
 
 _CYCLE_FAMILIES: tuple[_CycleFamily, ...] = (
@@ -205,6 +211,7 @@ class ValidationCache:
         "_schema",
         "_stamp",
         "_interface_issues",
+        "_flagged",
         "_cycle_issues",
         "_components",
         "_assembled",
@@ -220,6 +227,8 @@ class ValidationCache:
         #: Generation at the last (re)validation; ``None`` = never ran.
         self._stamp: int | None = None
         self._interface_issues: dict[str, _Slots] = {}
+        #: Names whose slot tuples hold at least one issue.
+        self._flagged: set[str] = set()
         self._cycle_issues: dict[str, tuple[Issue, ...]] = {}
         self._components: list[_ComponentEntry] = []
         self._assembled: list[Issue] = []
@@ -337,6 +346,7 @@ class ValidationCache:
     def _rebuild_all(self) -> None:
         schema = self._schema
         self._interface_issues.clear()
+        self._flagged.clear()
         for interface in schema:
             self._revalidate_interface(interface.name)
         for family in _CYCLE_FAMILIES:
@@ -373,8 +383,8 @@ class ValidationCache:
         seeds = set(touched) | (membership & interfaces.keys())
 
         # 2. Inheritance closure over the new subtype graph.  Walk from
-        # membership changes too: subtype_map keys include dangling
-        # names, so subtrees that (un)resolved under an added/removed
+        # membership changes too: dangling names keep their child rows,
+        # so subtrees that (un)resolved under an added/removed
         # supertype are reached through it.
         descend_from = set(membership)
         descend_from.update(
@@ -393,6 +403,7 @@ class ValidationCache:
 
         for name in gone:
             self._interface_issues.pop(name, None)
+            self._flagged.discard(name)
         for name in dirty:
             self._revalidate_interface(name)
         self.interfaces_revalidated += len(dirty)
@@ -400,7 +411,14 @@ class ValidationCache:
 
         for family in _CYCLE_FAMILIES:
             self._update_cycle_family(family, touched, membership, journal)
-        self._update_components(touched, membership, journal)
+        self._update_components(touched, membership)
+        if journal.order_changed:
+            # Positions were renumbered: re-key every cached finding.
+            first = self._first_position
+            self._components = [
+                (members, issue, first(members))
+                for members, issue, _ in self._components
+            ]
 
     def _descendants_of(self, roots: set[str]) -> set[str]:
         """Transitive subtypes of *roots* (roots excluded) via the index.
@@ -420,9 +438,14 @@ class ValidationCache:
     def _revalidate_interface(self, name: str) -> None:
         schema = self._schema
         interface = schema.interfaces[name]
-        self._interface_issues[name] = tuple(
+        slots = tuple(
             tuple(rule(schema, interface)) for rule in INTERFACE_RULES
         )
+        self._interface_issues[name] = slots
+        if any(slots):
+            self._flagged.add(name)
+        else:
+            self._flagged.discard(name)
 
     # ------------------------------------------------------------------
     # Cycle rules
@@ -464,7 +487,9 @@ class ValidationCache:
         component = self._weak_component(family, seeds)
         if not component:
             return
-        nodes = [name for name in schema.type_names() if name in component]
+        nodes = schema.index.in_declaration_order(
+            component & schema.interfaces.keys()
+        )
         cycle = _find_cycle(nodes, family.successors(schema))
         self._cycle_issues[family.name] = (
             (family.issue(cycle),) if cycle is not None else ()
@@ -501,7 +526,6 @@ class ValidationCache:
         self,
         touched: dict[str, set[str]],
         membership: set[str],
-        journal,
     ) -> None:
         schema = self._schema
         seeds = set(membership)
@@ -511,28 +535,27 @@ class ValidationCache:
             if Aspect.ISA in aspects
         )
         if not seeds:
-            return  # order changes are absorbed by _assemble's sort
+            return  # order changes only re-key entries (_apply_dirty)
         # Members of cached entries a seed belonged to must be re-walked
         # too: an edge removal can strand the rest of a component away
         # from every seed.
         walk_seeds = set(seeds)
         kept: list[_ComponentEntry] = []
         for entry in self._components:
-            members, _ = entry
+            members = entry[0]
             if members & seeds:
                 walk_seeds.update(members)
             else:
                 kept.append(entry)
         # A removed interface is no walk start, but unresolving the ISA
-        # links under it can re-root its former subtrees; subtype_map
-        # keeps dangling names as keys, so start from those children.
-        subtype_map = schema.index.subtype_map()
+        # links under it can re-root its former subtrees; a dangling
+        # name keeps its child row, so start from those children.
         starts: set[str] = set()
         for name in walk_seeds:
             if name in schema.interfaces:
                 starts.add(name)
             else:
-                starts.update(subtype_map.get(name, ()))
+                starts.update(schema.index.children_of(name))
         fresh, visited = self._scan_components(starts)
         # A merge can absorb an untouched cached component (its members
         # sit inside a freshly walked one, which may even have become
@@ -569,17 +592,29 @@ class ValidationCache:
                 continue  # no resolved edges: the full scan skips it
             roots = component_roots(schema, component)
             if len(roots) > 1:
-                entries.append((frozenset(component), multi_root_issue(roots)))
+                members = frozenset(component)
+                entries.append((
+                    members,
+                    multi_root_issue(roots),
+                    self._first_position(members),
+                ))
         return entries, seen
+
+    def _first_position(self, members: frozenset[str]) -> int:
+        return min(map(self._schema.index.position_of, members))
 
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
 
     def _assemble(self) -> list[Issue]:
-        """Concatenate cached tuples in the reference scan's order."""
-        schema = self._schema
-        names = schema.type_names()
+        """Concatenate cached tuples in the reference scan's order.
+
+        Only flagged interfaces hold per-interface issues, so only they
+        are visited, sorted by declaration position: O(issues), not
+        O(types).
+        """
+        names = self._schema.index.in_declaration_order(self._flagged)
         slots = self._interface_issues
         issues: list[Issue] = []
         for slot in (0, 1, 2):  # dangling, inverses, cardinality
@@ -590,11 +625,6 @@ class ValidationCache:
         for slot in (3, 4):  # keys, order-by
             for name in names:
                 issues.extend(slots[name][slot])
-        if self._components:
-            order = schema.index.declaration_order()
-            ranked = sorted(
-                self._components,
-                key=lambda entry: min(order[name] for name in entry[0]),
-            )
-            issues.extend(issue for _, issue in ranked)
+        ranked = sorted(self._components, key=lambda entry: entry[2])
+        issues.extend(issue for _, issue, _ in ranked)
         return issues

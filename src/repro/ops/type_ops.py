@@ -115,7 +115,7 @@ class DeleteTypeDefinition(SchemaOperation):
 
     def apply(self, schema: Schema, context: OperationContext = FREE_CONTEXT) -> Undo:
         self.validate(schema, context)
-        position = schema.type_names().index(self.typename)
+        position = schema.index.declaration_rank(self.typename)
         removed = schema.remove_interface(self.typename)
 
         def undo() -> None:

@@ -342,11 +342,7 @@ class AddExtentName(SchemaOperation):
                 f"{self.typename!r} already has extent {interface.extent!r}; "
                 "use modify_extent_name"
             )
-        owners = [
-            other.name
-            for other in schema
-            if other.extent == self.extent_name
-        ]
+        owners = schema.index.extent_owners(self.extent_name)
         if owners:
             raise ConstraintViolation(
                 f"extent name {self.extent_name!r} is already used by "
@@ -436,10 +432,9 @@ class ModifyExtentName(SchemaOperation):
                 f"not {self.old_extent_name!r}"
             )
         owners = [
-            other.name
-            for other in schema
-            if other.extent == self.new_extent_name
-            and other.name != self.typename
+            name
+            for name in schema.index.extent_owners(self.new_extent_name)
+            if name != self.typename
         ]
         if owners:
             raise ConstraintViolation(

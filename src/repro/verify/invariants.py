@@ -501,7 +501,8 @@ def _check_index_aggregation(schema, context):
 
 @invariant(
     "index-instance-of-vs-scan",
-    "DESIGN 5b: indexed instance-of queries equal the full-scan reference",
+    "DESIGN 5b: indexed instance-of queries equal the full-scan reference "
+    "(per-type probes sampled past the differential stride threshold)",
 )
 def _check_index_instance_of(schema, context):
     scanned_edges = index_module.scan_link_edges(
@@ -509,6 +510,19 @@ def _check_index_instance_of(schema, context):
     )
     if schema.instance_of_edges() != scanned_edges:
         yield "instance_of_edges(): index != scan"
+    # The per-name lookups the instance-of cycle family reads, against
+    # maps folded from the scanned edges (edge order preserved).
+    scanned_instances: dict[str, list[str]] = {}
+    scanned_generics: dict[str, list[str]] = {}
+    for generic, instance, _ in scanned_edges:
+        scanned_instances.setdefault(generic, []).append(instance)
+        scanned_generics.setdefault(instance, []).append(generic)
+    index = schema.index
+    for name in _sampled_type_names(schema):
+        if index.instances_of(name) != scanned_instances.get(name, []):
+            yield f"instances_of({name!r}): index != scan"
+        if index.generics_of(name) != scanned_generics.get(name, []):
+            yield f"generics_of({name!r}): index != scan"
     if schema.instance_of_roots() != index_module.scan_instance_of_roots(schema):
         yield "instance_of_roots(): index != scan"
 
@@ -594,10 +608,10 @@ def _check_spine_subscribers(schema, context):
     fresh = schema.copy(f"{schema.name}_rebuild")
     if schema.index.subtype_map() != fresh.index.subtype_map():
         yield "live subtype_map differs from a from-scratch rebuild"
-    if schema.index.parts_map() != fresh.index.parts_map():
-        yield "live parts_map differs from a from-scratch rebuild"
-    if schema.index.instance_map() != fresh.index.instance_map():
-        yield "live instance_map differs from a from-scratch rebuild"
+    if schema.part_of_edges() != fresh.part_of_edges():
+        yield "live part_of_edges differ from a from-scratch rebuild"
+    if schema.instance_of_edges() != fresh.instance_of_edges():
+        yield "live instance_of_edges differ from a from-scratch rebuild"
     if schema.index.declaration_order() != fresh.index.declaration_order():
         yield "live declaration_order differs from a from-scratch rebuild"
     live_issues = schema.validation.validate()
@@ -1292,9 +1306,8 @@ def _sub_schema(schema: Schema, names: Iterable[str], suffix: str) -> Schema:
     order.  References leaving the slice dangle, which the printer,
     parser, and mapper all accept -- dangling names are legal schema
     states (DESIGN 5i)."""
-    order = schema.index.declaration_order()
     sub = Schema(f"{schema.name}_{suffix}")
-    for name in sorted(names, key=order.__getitem__):
+    for name in schema.index.in_declaration_order(names):
         sub.add_interface(schema.interfaces[name].copy())
     return sub
 

@@ -55,7 +55,7 @@ from repro.ops.type_property_ops import (
     DeleteSupertype,
     ModifyExtentName,
 )
-from repro.knowledge.propagation import expand
+from repro.knowledge.propagation import expand_applying
 
 _SCALARS = (
     ScalarType("short"),
@@ -248,9 +248,11 @@ def generate_operations(
 ) -> list[SchemaOperation]:
     """Derive *count* valid operations against (an evolving copy of) *schema*.
 
-    Each generated operation is applied -- with propagation -- to a
-    private scratch copy so that subsequent operations stay valid; the
-    returned list therefore replays cleanly against a fresh copy of
+    Each generated operation is applied -- with propagation, in one
+    :func:`~repro.knowledge.propagation.expand_applying` pass -- to a
+    private scratch copy so that subsequent operations stay valid; an
+    operation or composite that fails leaves the scratch as it was.
+    The returned list therefore replays cleanly against a fresh copy of
     *schema* in a workspace with propagation enabled.
 
     The stream covers the whole Appendix A language: attribute,
@@ -274,23 +276,26 @@ def generate_operations(
                 composite = random_composite(scratch, rng, len(operations))
                 if composite is None:
                     continue
+                # All or nothing: a composite whose k-th op fails leaves
+                # no trace of ops 1..k-1, which the stream drops too.
+                undos: list = []
                 try:
                     plan = composite.expand_plan(scratch, context)
-                    applied: list[SchemaOperation] = []
                     for operation in plan:
-                        for step in expand(scratch, operation, context):
-                            step.apply(scratch, context)
-                        applied.append(operation)
+                        undos.extend(
+                            expand_applying(scratch, operation, context)[1]
+                        )
                 except Exception:
+                    for undo in reversed(undos):
+                        undo()
                     continue
-                operations.extend(applied)
+                operations.extend(plan)
                 continue
             operation = random_operation(scratch, rng, len(operations))
             if operation is None:
                 continue
             try:
-                for step in expand(scratch, operation, context):
-                    step.apply(scratch, context)
+                expand_applying(scratch, operation, context)
             except Exception:
                 continue
             operations.append(operation)
@@ -559,10 +564,14 @@ def _make_introduce_abstract_supertype(scratch, rng, index):
 
 
 def _make_extract_supertype(scratch, rng, index):
+    # "Has an ancestor" is "some supertype resolves": test that instead
+    # of building every interface's ancestor set.
+    interfaces = scratch.interfaces
     candidates = [
         interface.name
         for interface in scratch
-        if interface.attributes and scratch.ancestors(interface.name)
+        if interface.attributes
+        and any(supertype in interfaces for supertype in interface.supertypes)
     ]
     if not candidates:
         return None

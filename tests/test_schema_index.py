@@ -26,6 +26,7 @@ from repro.model.index import (
     scan_descendants,
     scan_generalization_roots,
     scan_instance_of_roots,
+    scan_link_edges,
     scan_parts,
     scan_relationship_pairs,
     scan_subtypes,
@@ -45,16 +46,77 @@ from repro.workload.generator import (
 
 def assert_index_matches_scan(schema: Schema) -> None:
     """Every indexed query equals its full-scan counterpart."""
-    for name in schema.type_names():
+    index = schema.index
+    part_edges = scan_link_edges(schema, RelationshipKind.PART_OF)
+    instance_edges = scan_link_edges(schema, RelationshipKind.INSTANCE_OF)
+    instances: dict[str, list[str]] = {}
+    generics: dict[str, list[str]] = {}
+    for generic, instance, _ in instance_edges:
+        instances.setdefault(generic, []).append(instance)
+        generics.setdefault(instance, []).append(generic)
+    extents: dict[str, list[str]] = {}
+    for rank, name in enumerate(schema.type_names()):
         assert schema.subtypes(name) == scan_subtypes(schema, name)
         assert schema.descendants(name) == scan_descendants(schema, name)
         assert schema.ancestors(name) == scan_ancestors(schema, name)
         assert schema.parts(name) == scan_parts(schema, name)
         assert schema.wholes(name) == scan_wholes(schema, name)
+        assert index.instances_of(name) == instances.get(name, [])
+        assert index.generics_of(name) == generics.get(name, [])
+        assert index.declaration_rank(name) == rank
+        extent = schema.interfaces[name].extent
+        if extent is not None:
+            extents.setdefault(extent, []).append(name)
+    for extent, owners in extents.items():
+        assert index.extent_owners(extent) == owners
+    assert schema.part_of_edges() == part_edges
+    assert schema.instance_of_edges() == instance_edges
+    assert index.part_of_edge_count() == len(part_edges)
+    assert index.instance_of_edge_count() == len(instance_edges)
+    assert index.declaration_order() == {
+        name: rank for rank, name in enumerate(schema.type_names())
+    }
     assert schema.generalization_roots() == scan_generalization_roots(schema)
     assert schema.aggregation_roots() == scan_aggregation_roots(schema)
     assert schema.instance_of_roots() == scan_instance_of_roots(schema)
     assert schema.relationship_pairs() == scan_relationship_pairs(schema)
+    assert index.adjacency.check_integrity() == []
+
+
+def _link(name, target, kind, to_many=True):
+    target_type = set_of(target) if to_many else NamedType(target)
+    return RelationshipEnd(name, target_type, target, f"{name}_inv", kind)
+
+
+def _churn(schema: Schema, tag: str) -> None:
+    """A spread of spine-recorded edits: membership, ISA, both link
+    kinds (add, retarget by replace, kind change, remove), extents
+    (including a shared name), and a type removal that leaves dangling
+    supertype and link targets behind."""
+    names = schema.type_names()
+    first, second, third = names[0], names[1], names[2]
+    new = f"New{tag}"
+    schema.add_interface(InterfaceDef(new, supertypes=[first]))
+    schema.get(second).add_relationship(
+        _link(f"parts_{tag}", new, RelationshipKind.PART_OF)
+    )
+    schema.get(second).add_relationship(
+        _link(f"more_{tag}", third, RelationshipKind.PART_OF)
+    )
+    schema.get(new).add_relationship(
+        _link(f"versions_{tag}", second, RelationshipKind.INSTANCE_OF)
+    )
+    schema.get(second).replace_relationship(
+        _link(f"more_{tag}", first, RelationshipKind.INSTANCE_OF)
+    )
+    schema.get(third).set_extent(f"shared_{tag}")
+    schema.get(new).set_extent(f"shared_{tag}")
+    schema.get(third).add_supertype(new)
+    schema.get(second).remove_relationship(f"parts_{tag}")
+    schema.get(second).add_relationship(
+        _link(f"parts_{tag}", new, RelationshipKind.PART_OF)
+    )
+    schema.remove_interface(first)
 
 
 def _association(name, target, inverse_type, inverse_name, to_many=False):
@@ -252,3 +314,89 @@ class TestInvalidationAcrossWorkspaceHistory:
         assert_index_matches_scan(schema)
         schema.remove_interface("B")
         assert_index_matches_scan(schema)
+
+    # -- spine-fed state across forks, reorders and lossy records ------
+
+    @staticmethod
+    def _warm_fork(schema: Schema) -> Schema:
+        assert_index_matches_scan(schema)  # warm the parent's state
+        fork = schema.fork("branch")
+        assert_index_matches_scan(fork)
+        return fork
+
+    def test_fork_then_parent_mutates(self):
+        parent = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(parent)
+        before = fork.type_names()
+        _churn(parent, "p")
+        assert fork.type_names() == before
+        assert_index_matches_scan(parent)
+        assert_index_matches_scan(fork)
+
+    def test_fork_then_child_mutates(self):
+        parent = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(parent)
+        before = parent.type_names()
+        _churn(fork, "c")
+        assert parent.type_names() == before
+        assert_index_matches_scan(fork)
+        assert_index_matches_scan(parent)
+
+    def test_fork_then_both_mutate(self):
+        parent = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(parent)
+        _churn(fork, "c")
+        _churn(parent, "p")
+        _churn(fork, "d")
+        assert_index_matches_scan(parent)
+        assert_index_matches_scan(fork)
+
+    def test_fork_whose_first_edit_is_a_removal(self):
+        parent = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(parent)
+        fork.remove_interface(fork.type_names()[3])
+        assert_index_matches_scan(fork)
+        assert_index_matches_scan(parent)
+
+    def test_both_remove_the_same_interface(self):
+        # The fork folds its own removal after the parent's, before any
+        # query: it must not fold into state the parent already edited.
+        parent = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(parent)
+        last = parent.type_names()[-1]
+        parent.remove_interface(last)
+        fork.remove_interface(last)
+        assert_index_matches_scan(fork)
+        assert_index_matches_scan(parent)
+
+    def test_fork_of_fork_then_grandparent_mutates(self):
+        grandparent = generate_schema(WorkloadSpec(types=30, seed=7))
+        parent = self._warm_fork(grandparent)
+        child = self._warm_fork(parent)
+        _churn(grandparent, "g")
+        assert_index_matches_scan(child)
+        assert_index_matches_scan(parent)
+        assert_index_matches_scan(grandparent)
+
+    def test_reorder_interfaces(self):
+        schema = generate_schema(WorkloadSpec(types=30, seed=7))
+        _churn(schema, "r")
+        assert_index_matches_scan(schema)
+        schema.reorder_interfaces(list(reversed(schema.type_names())))
+        assert_index_matches_scan(schema)
+        _churn(schema, "s")  # positions keep working after a renumber
+        assert_index_matches_scan(schema)
+
+    def test_lossy_touch_rescans_and_counts(self):
+        schema = generate_schema(WorkloadSpec(types=30, seed=7))
+        assert_index_matches_scan(schema)
+        rebuilds = schema.index.stats()["rebuilds"]
+        # Out of band: reorder the dict and drop an interface without a
+        # mutator, then declare it with a lossy record.
+        names = schema.type_names()
+        schema.interfaces = {
+            name: schema.interfaces[name] for name in reversed(names[1:])
+        }
+        schema.touch()
+        assert_index_matches_scan(schema)
+        assert schema.index.stats()["rebuilds"] > rebuilds

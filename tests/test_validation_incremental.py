@@ -285,6 +285,23 @@ class TestFallbacksAndApi:
         schema.touch_order()
         assert_matches_reference(schema)
 
+    def test_reorder_re_sorts_cached_findings(self):
+        """Two multi-root components and a dangling-type issue: after a
+        reorder that reverses declaration order, every finding must come
+        out in the new order without any of them being re-checked."""
+        schema = parse_schema(
+            "interface A {}; interface B {}; interface C : A, B {};"
+            "interface D {}; interface E {}; interface F : D, E {};"
+            "interface G : Ghost {}; interface H : Ghost {};",
+            name="two_roots",
+        )
+        before = assert_matches_reference(schema)
+        assert [i.rule for i in before].count("multi-root-hierarchy") == 2
+        schema.reorder_interfaces(list(reversed(schema.type_names())))
+        after = assert_matches_reference(schema)
+        assert after != before
+        assert sorted(after, key=str) == sorted(before, key=str)
+
     def test_clean_hit_when_nothing_changed(self, small):
         small.validation.validate()
         small.validation.reset_stats()

@@ -7,7 +7,7 @@ from repro.model.attributes import Attribute
 from repro.model.interface import InterfaceDef
 from repro.model.relationships import RelationshipEnd
 from repro.model.schema import Schema
-from repro.model.types import NamedType
+from repro.model.types import NamedType, set_of
 from repro.ops.language import parse_operation
 from repro.repository.workspace import Workspace
 from repro.verify.invariants import (
@@ -179,6 +179,31 @@ class TestDifferentialSampling:
         schema.interfaces[new.name] = new
         violated = {v.invariant for v in check_schema(schema)}
         assert "index-generalization-vs-scan" in violated
+
+    def test_instance_of_probes_detect_a_stale_reverse_map(self):
+        import dataclasses
+
+        schema = generate_schema(
+            WorkloadSpec(types=60, seed=1, instance_of_chain=5)
+        )
+        generic, instance, end = schema.instance_of_edges()[0]
+        assert check_schema(schema, names=["index-instance-of-vs-scan"]) == []
+        # Retarget the end without a record: the edge listing reads the
+        # live end, so only the per-name lookups still see the old
+        # target.
+        other = next(
+            name for name in schema.type_names()
+            if name not in (generic, instance)
+        )
+        schema.interfaces[generic].relationships[end.name] = (
+            dataclasses.replace(end, target=set_of(other))
+        )
+        messages = [
+            v.message
+            for v in check_schema(schema, names=["index-instance-of-vs-scan"])
+        ]
+        assert f"instances_of({generic!r}): index != scan" in messages
+        assert f"generics_of({other!r}): index != scan" in messages
 
 
 class TestWorkspaceInvariants:

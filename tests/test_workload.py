@@ -81,3 +81,52 @@ class TestGenerateOperations:
         operations = generate_operations(schema, 80, seed=3)
         names = {op.op_name for op in operations}
         assert "delete_attribute" in names or "delete_relationship" in names
+
+
+class _ScriptedComposite:
+    """A composite stand-in: expands to a fixed plan and records whether
+    the scratch it expanded against holds the type a failed composite
+    created."""
+
+    def __init__(self, plan, seen):
+        self.plan = plan
+        self.seen = seen
+
+    def expand_plan(self, schema, context):
+        self.seen.append("Injected" in schema)
+        return list(self.plan)
+
+
+class TestCompositesAreAllOrNothing:
+    def test_failing_second_op_leaves_no_trace(self, monkeypatch):
+        """A composite whose second op fails must not leave its first op
+        applied on the scratch: the stream drops both, so later draws
+        must not see the first op's effect either."""
+        from repro.ops.attribute_ops import DeleteAttribute
+        from repro.ops.type_ops import AddTypeDefinition
+        from repro.workload import generator
+
+        seen: list[bool] = []
+        draws = iter(range(1000))
+
+        def scripted(schema, rng, index):
+            if next(draws) == 0:
+                plan = [
+                    AddTypeDefinition("Injected"),
+                    DeleteAttribute("NoSuchType", "nothing"),
+                ]
+            else:
+                plan = [AddTypeDefinition(f"Later{index}")]
+            return _ScriptedComposite(plan, seen)
+
+        monkeypatch.setattr(generator, "_COMPOSITE_SHARE", 1.0)
+        monkeypatch.setattr(generator, "random_composite", scripted)
+        schema = generate_schema(WorkloadSpec(types=10, seed=1))
+        operations = generate_operations(schema, 3, seed=0)
+
+        assert [op.to_text() for op in operations] == [
+            "add_type_definition(Later0)",
+            "add_type_definition(Later1)",
+            "add_type_definition(Later2)",
+        ]
+        assert seen == [False, False, False, False]

@@ -7,12 +7,21 @@ different seed, different stream.  These tests fail loudly if anyone
 introduces hidden global state (or an unseeded RNG) into the generator.
 """
 
+import hashlib
+import random
+
+import pytest
+
 from repro.catalog import load
+from repro.knowledge.propagation import expand_applying
 from repro.model.fingerprint import schema_fingerprint
+from repro.odl.printer import print_schema
+from repro.ops.base import OperationContext
 from repro.workload.generator import (
     WorkloadSpec,
     generate_operations,
     generate_schema,
+    random_operation,
 )
 
 
@@ -99,3 +108,73 @@ class TestStreamCoverage:
             if found:
                 break
         assert found, "no composite expansion observed across 12 seeds"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedBenchmarkInputs:
+    """What a seed produces, not only that it repeats.
+
+    The session benchmark's inputs come from this generator.  A change
+    that reorders an edge listing the makers pick from (``randrange``
+    over ``part_of_edges()``) or applies a draw differently changes
+    every later generated op without failing the repeatability checks
+    above.  These digests pin, for the benchmark's schema shape: the
+    printed ODL, the 100-op script, and the first 200
+    ``random_operation`` draws on a fork (each applied with its
+    cascades when it is accepted).
+    """
+
+    DIGESTS = {
+        1: (
+            "8f375e0aa04b25c661626f5eac7668117dde9d0c024be695bfe94542126f7d81",
+            "61b0d3528cb96a3fb204042e3d322fb7e4b020bcc23387f613606008bc4b6da0",
+            "05763a9068f494ee114dfb9ea3d06773738c1179ec561387dfb69370635c5531",
+        ),
+        2: (
+            "7fe7fc05ec500047938195221c593d3e1288c6cf91b3fcd7317f79a4934ee33a",
+            "5be490095b4fd20d5995c6fefa6bcf847b092df691af7d83fe69b29bb49fe759",
+            "ab4a98840314a4f97e585a7f2ef3d71459f5ab06ea426d31dc7678f49509ce88",
+        ),
+        3: (
+            "30ad1d4f843ddaf99316b837775f8a14bdab47b98fb98eb01302ae21ad267ca5",
+            "f6d4f515cbed61af368c3fe1d97b456ab0530a78ae842d69f98a129b2986d5cc",
+            "3acf3ecde46461812f9c3b8e7e4f7b2afda633cfbf19d91d420229b4c9c622b1",
+        ),
+    }
+
+    @staticmethod
+    def _draws(schema, seed: int) -> str:
+        fork = schema.fork("draws")
+        rng = random.Random(seed)
+        context = OperationContext(reference=schema)
+        lines = []
+        for index in range(200):
+            operation = random_operation(fork, rng, index)
+            if operation is None:
+                lines.append("-")
+                continue
+            try:
+                expand_applying(fork, operation, context)
+                lines.append(operation.to_text())
+            except Exception:
+                lines.append("! " + operation.to_text())
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seed_produces_the_pinned_inputs(self, seed):
+        schema = generate_schema(
+            WorkloadSpec(
+                types=200, seed=seed, isa_fraction=0.45,
+                part_of_chain=50, instance_of_chain=25,
+            )
+        )
+        odl = print_schema(schema)
+        script = "\n".join(
+            op.to_text() for op in generate_operations(schema, 100, seed=seed)
+        )
+        assert (
+            _sha256(odl), _sha256(script), _sha256(self._draws(schema, seed))
+        ) == self.DIGESTS[seed]
