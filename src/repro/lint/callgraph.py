@@ -67,35 +67,6 @@ def iter_calls(node: ast.AST) -> Iterator[ast.Call]:
             yield child
 
 
-def call_name(call: ast.Call) -> str | None:
-    """Bare name of a call target (``f(...)`` or ``x.f(...)`` -> ``f``)."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def attribute_reads(node: ast.AST) -> list[tuple[str, int]]:
-    """Load-context attribute accesses, excluding method-call heads.
-
-    ``interface.keys`` counts; ``interface.keys()`` and ``d.keys()`` do
-    not -- the callee head is a method reference, not a field read.
-    """
-    call_heads = {
-        id(child.func) for child in ast.walk(node) if isinstance(child, ast.Call)
-    }
-    reads: list[tuple[str, int]] = []
-    for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and isinstance(child.ctx, ast.Load)
-            and id(child) not in call_heads
-        ):
-            reads.append((child.attr, child.lineno))
-    return reads
-
-
 #: container methods that mutate their receiver in place
 MUTATING_CONTAINER_METHODS = frozenset(
     {

@@ -100,12 +100,6 @@ class Codebase:
     def module(self, name: str) -> ModuleInfo | None:
         return self.modules.get(name)
 
-    def resolve_import(
-        self, module: ModuleInfo, local_name: str
-    ) -> tuple[str, str | None] | None:
-        """Where *local_name* in *module* comes from, if imported."""
-        return module.imports.get(local_name)
-
     def find_class(self, class_name: str) -> list[tuple[ModuleInfo, ast.ClassDef]]:
         """Every definition of *class_name* across the codebase."""
         return [

@@ -569,11 +569,21 @@ def validate_schema(schema: Schema, raise_on_error: bool = False) -> list[Issue]
     for rule in STRUCTURAL_RULES:
         issues.extend(rule(schema))
     if raise_on_error:
-        errors = [issue for issue in issues if issue.severity == SEVERITY_ERROR]
-        if errors:
-            raise ValidationError(
-                f"schema {schema.name!r} has {len(errors)} structural "
-                "error(s); first: " + str(errors[0]),
-                issues=errors,
-            )
+        raise_on_errors(schema.name, issues)
     return issues
+
+
+def raise_on_errors(name: str, issues: Iterable[Issue]) -> None:
+    """Raise :class:`~repro.model.errors.ValidationError` for the
+    error-severity *issues* of the schema called *name*, if there are any.
+
+    The one place the error is built: the reference scan, the
+    incremental cache and the repository's open all raise it.
+    """
+    errors = [issue for issue in issues if issue.severity == SEVERITY_ERROR]
+    if errors:
+        raise ValidationError(
+            f"schema {name!r} has {len(errors)} structural "
+            "error(s); first: " + str(errors[0]),
+            issues=errors,
+        )

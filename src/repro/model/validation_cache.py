@@ -84,12 +84,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.model.errors import ValidationError
 from repro.model.mutation import Aspect
 from repro.model.validation import (
     DESCEND_ASPECTS,
     INTERFACE_RULES,
-    SEVERITY_ERROR,
     VALIDATION_ASPECTS,
     Issue,
     _find_cycle,
@@ -99,6 +97,7 @@ from repro.model.validation import (
     isa_successors,
     multi_root_issue,
     part_of_cycle_issue,
+    raise_on_errors,
 )
 
 if TYPE_CHECKING:
@@ -269,15 +268,7 @@ class ValidationCache:
             self._stamp = generation
         issues = list(self._assembled)
         if raise_on_error:
-            errors = [
-                issue for issue in issues if issue.severity == SEVERITY_ERROR
-            ]
-            if errors:
-                raise ValidationError(
-                    f"schema {schema.name!r} has {len(errors)} structural "
-                    "error(s); first: " + str(errors[0]),
-                    issues=errors,
-                )
+            raise_on_errors(schema.name, issues)
         return issues
 
     def recheck_interfaces(self, names: Iterable[str]) -> Iterator[str]:

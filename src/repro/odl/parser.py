@@ -46,7 +46,7 @@ from repro.model.types import (
     ScalarType,
     TypeRef,
 )
-from repro.odl.lexer import IDENT, OdlSyntaxError, TokenStream
+from repro.odl.lexer import IDENT, TokenStream
 
 _RELATIONSHIP_KEYWORDS = {
     "part_of": RelationshipKind.PART_OF,
@@ -73,7 +73,7 @@ def parse_schema(text: str, name: str = "schema") -> Schema:
         # ODMG module wrapper: ``module Name { ... };``.  The module
         # name becomes the schema name.
         stream.advance()
-        name = stream.expect_ident().value
+        name = stream.expect_ident()
         stream.expect_punct("{")
         wrapped = True
     schema = Schema(name)
@@ -104,12 +104,12 @@ def parse_type(text: str) -> TypeRef:
 
 def _parse_interface(stream: TokenStream) -> InterfaceDef:
     stream.expect_ident("interface")
-    name = stream.expect_ident().value
+    name = stream.expect_ident()
     supertypes: list[str] = []
     if stream.accept_punct(":"):
-        supertypes.append(stream.expect_ident().value)
+        supertypes.append(stream.expect_ident())
         while stream.accept_punct(","):
-            supertypes.append(stream.expect_ident().value)
+            supertypes.append(stream.expect_ident())
     interface = InterfaceDef(name, supertypes=supertypes)
     stream.expect_punct("{")
     while not stream.at_punct("}"):
@@ -120,30 +120,28 @@ def _parse_interface(stream: TokenStream) -> InterfaceDef:
 
 
 def _parse_member(stream: TokenStream, interface: InterfaceDef) -> None:
-    if stream.at_ident("extent"):
+    word = stream.value if stream.kind == IDENT else None
+    if word == "extent":
         stream.advance()
-        extent = stream.expect_ident().value
+        extent = stream.expect_ident()
         stream.expect_punct(";")
         interface.set_extent(extent)
         return
-    if stream.at_ident("key") or stream.at_ident("keys"):
+    if word == "key" or word == "keys":
         stream.advance()
         interface.add_key(_parse_key_spec(stream))
         while stream.accept_punct(","):
             interface.add_key(_parse_key_spec(stream))
         stream.expect_punct(";")
         return
-    if stream.at_ident("attribute"):
+    if word == "attribute":
         stream.advance()
         attr_type = _parse_type(stream)
-        attr_name = stream.expect_ident().value
+        attr_name = stream.expect_ident()
         stream.expect_punct(";")
         interface.add_attribute(Attribute(attr_name, attr_type))
         return
-    if (
-        stream.at_ident("relationship")
-        or stream.current.value in _RELATIONSHIP_KEYWORDS
-    ):
+    if word == "relationship" or word in _RELATIONSHIP_KEYWORDS:
         interface.add_relationship(_parse_relationship(stream))
         return
     # Anything else must be an operation declaration: type name ( ... ) ;
@@ -152,31 +150,31 @@ def _parse_member(stream: TokenStream, interface: InterfaceDef) -> None:
 
 def _parse_key_spec(stream: TokenStream) -> tuple[str, ...]:
     if stream.accept_punct("("):
-        names = [stream.expect_ident().value]
+        names = [stream.expect_ident()]
         while stream.accept_punct(","):
-            names.append(stream.expect_ident().value)
+            names.append(stream.expect_ident())
         stream.expect_punct(")")
         return tuple(names)
-    return (stream.expect_ident().value,)
+    return (stream.expect_ident(),)
 
 
 def _parse_relationship(stream: TokenStream) -> RelationshipEnd:
     kind = RelationshipKind.ASSOCIATION
-    if stream.current.type == IDENT and stream.current.value in _RELATIONSHIP_KEYWORDS:
-        kind = _RELATIONSHIP_KEYWORDS[stream.advance().value]
+    if stream.kind == IDENT and stream.value in _RELATIONSHIP_KEYWORDS:
+        kind = _RELATIONSHIP_KEYWORDS[stream.advance()]
     stream.expect_ident("relationship")
     target = _parse_type(stream)
-    path_name = stream.expect_ident().value
+    path_name = stream.expect_ident()
     stream.expect_ident("inverse")
-    inverse_type = stream.expect_ident().value
+    inverse_type = stream.expect_ident()
     stream.expect_punct("::")
-    inverse_name = stream.expect_ident().value
+    inverse_name = stream.expect_ident()
     order_by: tuple[str, ...] = ()
     if stream.accept_ident("order_by"):
         stream.expect_punct("(")
-        names = [stream.expect_ident().value]
+        names = [stream.expect_ident()]
         while stream.accept_punct(","):
-            names.append(stream.expect_ident().value)
+            names.append(stream.expect_ident())
         stream.expect_punct(")")
         order_by = tuple(names)
     stream.expect_punct(";")
@@ -187,7 +185,7 @@ def _parse_relationship(stream: TokenStream) -> RelationshipEnd:
 
 def _parse_operation(stream: TokenStream) -> Operation:
     return_type = _parse_type(stream)
-    name = stream.expect_ident().value
+    name = stream.expect_ident()
     stream.expect_punct("(")
     parameters: list[Parameter] = []
     if not stream.at_punct(")"):
@@ -198,9 +196,9 @@ def _parse_operation(stream: TokenStream) -> Operation:
     exceptions: tuple[str, ...] = ()
     if stream.accept_ident("raises"):
         stream.expect_punct("(")
-        names = [stream.expect_ident().value]
+        names = [stream.expect_ident()]
         while stream.accept_punct(","):
-            names.append(stream.expect_ident().value)
+            names.append(stream.expect_ident())
         stream.expect_punct(")")
         exceptions = tuple(names)
     stream.expect_punct(";")
@@ -208,13 +206,13 @@ def _parse_operation(stream: TokenStream) -> Operation:
 
 
 def _parse_parameter(stream: TokenStream) -> Parameter:
-    if stream.current.value not in ("in", "out", "inout"):
+    if stream.value not in ("in", "out", "inout"):
         raise stream.error(
             f"expected a parameter direction (in/out/inout), found {stream.current}"
         )
-    direction = stream.advance().value
+    direction = stream.advance()
     param_type = _parse_type(stream)
-    param_name = stream.expect_ident().value
+    param_name = stream.expect_ident()
     return Parameter(direction, param_type, param_name)
 
 
@@ -224,14 +222,14 @@ def parse_type_from(stream: TokenStream) -> TypeRef:
 
 
 def _parse_type(stream: TokenStream, depth: int = 0) -> TypeRef:
-    token = stream.expect_ident()
-    word = token.value
+    start = stream.start
+    word = stream.expect_ident()
     if word in COLLECTION_KINDS:
         if depth == MAX_TYPE_NESTING:
-            raise OdlSyntaxError(
+            raise stream.error(
                 f"collection types nested deeper than {MAX_TYPE_NESTING} "
                 f"levels",
-                token.line, token.column,
+                start,
             )
         stream.expect_punct("<")
         element = _parse_type(stream, depth + 1)
@@ -242,8 +240,7 @@ def _parse_type(stream: TokenStream, depth: int = 0) -> TypeRef:
         return CollectionType(word, element, size)
     if word in SCALAR_TYPE_NAMES:
         size = None
-        if stream.at_punct("("):
-            stream.advance()
+        if stream.accept_punct("("):
             size = stream.expect_number()
             stream.expect_punct(")")
         return _scalar_type(word, size)

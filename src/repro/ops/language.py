@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.model.operations import Parameter
 from repro.model.types import ScalarType, TypeRef
-from repro.odl.lexer import IDENT, NUMBER, OdlSyntaxError, TokenStream
+from repro.odl.lexer import IDENT, NUMBER, TokenStream
 from repro.odl.parser import parse_type_from
 from repro.ops.base import SchemaOperation
 from repro.ops.instance_of_ops import (
@@ -103,42 +103,38 @@ def parse_composite(text: str):
     )
 
     stream = TokenStream(text)
-    name_token = stream.expect_ident()
+    name_start = stream.start
+    name = stream.expect_ident()
     stream.expect_punct("(")
-    if name_token.value == "introduce_abstract_supertype":
-        supertype = _ident(stream)
+    if name == "introduce_abstract_supertype":
+        supertype = stream.expect_ident()
         _comma(stream)
         subtypes = _name_list(stream)
         lift = True
         if stream.accept_punct(","):
-            flag = _ident(stream)
+            flag_start = stream.start
+            flag = stream.expect_ident()
             if flag not in ("lift", "nolift"):
-                raise OdlSyntaxError(
-                    f"expected 'lift' or 'nolift', found {flag!r}",
-                    stream.current.line, stream.current.column,
+                raise stream.error(
+                    f"expected 'lift' or 'nolift', found {flag!r}", flag_start
                 )
             lift = flag == "lift"
         composite = IntroduceAbstractSupertype(supertype, subtypes, lift)
-    elif name_token.value in ("extract_supertype", "split_by_subtyping"):
-        source = _ident(stream)
+    elif name in ("extract_supertype", "split_by_subtyping"):
+        source = stream.expect_ident()
         _comma(stream)
-        other = _ident(stream)
+        other = stream.expect_ident()
         _comma(stream)
         attributes = _name_list(stream)
         operations: tuple[str, ...] = ()
         if stream.accept_punct(","):
             operations = _name_list(stream)
         cls = (
-            ExtractSupertype
-            if name_token.value == "extract_supertype"
-            else SplitBySubtyping
+            ExtractSupertype if name == "extract_supertype" else SplitBySubtyping
         )
         composite = cls(source, other, attributes, operations)
     else:
-        raise OdlSyntaxError(
-            f"unknown composite operation {name_token.value!r}",
-            name_token.line, name_token.column,
-        )
+        raise stream.error(f"unknown composite operation {name!r}", name_start)
     stream.expect_punct(")")
     stream.accept_punct(";")
     stream.expect_end()
@@ -149,7 +145,7 @@ def parse_script(text: str) -> list[SchemaOperation]:
     """Parse a whole modification script (``;`` or newline separated)."""
     stream = TokenStream(text)
     operations: list[SchemaOperation] = []
-    while stream.current.type == IDENT:
+    while stream.kind == IDENT:
         operations.append(_parse_one(stream))
         stream.accept_punct(";")
     stream.expect_end()
@@ -157,14 +153,11 @@ def parse_script(text: str) -> list[SchemaOperation]:
 
 
 def _parse_one(stream: TokenStream) -> SchemaOperation:
-    name_token = stream.expect_ident()
-    try:
-        builder = _BUILDERS[name_token.value]
-    except KeyError:
-        raise OdlSyntaxError(
-            f"unknown operation {name_token.value!r}",
-            name_token.line, name_token.column,
-        ) from None
+    name_start = stream.start
+    name = stream.expect_ident()
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise stream.error(f"unknown operation {name!r}", name_start)
     stream.expect_punct("(")
     operation = builder(stream)
     stream.expect_punct(")")
@@ -179,10 +172,6 @@ def _comma(stream: TokenStream) -> None:
     stream.expect_punct(",")
 
 
-def _ident(stream: TokenStream) -> str:
-    return stream.expect_ident().value
-
-
 def _type(stream: TokenStream) -> TypeRef:
     return parse_type_from(stream)
 
@@ -192,9 +181,9 @@ def _name_list(stream: TokenStream) -> tuple[str, ...]:
     stream.expect_punct("(")
     names: list[str] = []
     if not stream.at_punct(")"):
-        names.append(_ident(stream))
+        names.append(stream.expect_ident())
         while stream.accept_punct(","):
-            names.append(_ident(stream))
+            names.append(stream.expect_ident())
     stream.expect_punct(")")
     return tuple(names)
 
@@ -212,22 +201,22 @@ def _param_list(stream: TokenStream) -> tuple[Parameter, ...]:
 
 
 def _parameter(stream: TokenStream) -> Parameter:
-    if stream.current.value not in _DIRECTIONS:
+    if stream.value not in _DIRECTIONS:
         raise stream.error(
             f"expected a parameter direction (in/out/inout), found "
             f"{stream.current}"
         )
-    direction = stream.advance().value
+    direction = stream.advance()
     param_type = _type(stream)
-    param_name = _ident(stream)
+    param_name = stream.expect_ident()
     return Parameter(direction, param_type, param_name)
 
 
 def _inverse_path(stream: TokenStream) -> tuple[str, str]:
     """``Type::path``."""
-    inverse_type = _ident(stream)
+    inverse_type = stream.expect_ident()
     stream.expect_punct("::")
-    inverse_name = _ident(stream)
+    inverse_name = stream.expect_ident()
     return inverse_type, inverse_name
 
 
@@ -242,28 +231,31 @@ def _size(stream: TokenStream) -> int | None:
 # ----------------------------------------------------------------------
 
 def _build_add_attribute(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
     domain = _type(stream)
     _comma(stream)
-    if stream.current.type == NUMBER:
+    if stream.kind == NUMBER:
         # The optional explicit [ <size> ] argument of the grammar.
+        size_start = stream.start
         size = stream.expect_number()
         _comma(stream)
         if not isinstance(domain, ScalarType):
-            raise stream.error("a size argument requires a scalar type")
+            raise stream.error(
+                "a size argument requires a scalar type", size_start
+            )
         domain = ScalarType(domain.name, size)
-    attribute_name = _ident(stream)
+    attribute_name = stream.expect_ident()
     return AddAttribute(typename, domain, attribute_name)
 
 
 def _build_add_relationship(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        typename = _ident(stream)
+        typename = stream.expect_ident()
         _comma(stream)
         target = _type(stream)
         _comma(stream)
-        path = _ident(stream)
+        path = stream.expect_ident()
         _comma(stream)
         inverse_type, inverse_name = _inverse_path(stream)
         order_by: tuple[str, ...] = ()
@@ -276,13 +268,13 @@ def _build_add_relationship(cls: type) -> Callable[[TokenStream], SchemaOperatio
 
 def _build_modify_target_type(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        typename = _ident(stream)
+        typename = stream.expect_ident()
         _comma(stream)
-        path = _ident(stream)
+        path = stream.expect_ident()
         _comma(stream)
-        first = _ident(stream)
+        first = stream.expect_ident()
         if stream.accept_punct(","):
-            return cls(typename, path, _ident(stream), old_target_type=first)
+            return cls(typename, path, stream.expect_ident(), old_target_type=first)
         return cls(typename, path, first)
 
     return build
@@ -290,9 +282,9 @@ def _build_modify_target_type(cls: type) -> Callable[[TokenStream], SchemaOperat
 
 def _build_modify_cardinality(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        typename = _ident(stream)
+        typename = stream.expect_ident()
         _comma(stream)
-        path = _ident(stream)
+        path = stream.expect_ident()
         _comma(stream)
         old_target = _type(stream)
         _comma(stream)
@@ -304,9 +296,9 @@ def _build_modify_cardinality(cls: type) -> Callable[[TokenStream], SchemaOperat
 
 def _build_modify_order_by(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        typename = _ident(stream)
+        typename = stream.expect_ident()
         _comma(stream)
-        path = _ident(stream)
+        path = stream.expect_ident()
         _comma(stream)
         old_list = _name_list(stream)
         _comma(stream)
@@ -318,39 +310,39 @@ def _build_modify_order_by(cls: type) -> Callable[[TokenStream], SchemaOperation
 
 def _build_two_idents(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        first = _ident(stream)
+        first = stream.expect_ident()
         _comma(stream)
-        return cls(first, _ident(stream))
+        return cls(first, stream.expect_ident())
 
     return build
 
 
 def _build_three_idents(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        first = _ident(stream)
+        first = stream.expect_ident()
         _comma(stream)
-        second = _ident(stream)
+        second = stream.expect_ident()
         _comma(stream)
-        return cls(first, second, _ident(stream))
+        return cls(first, second, stream.expect_ident())
 
     return build
 
 
 def _build_add_operation(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
     return_type = _type(stream)
     _comma(stream)
-    operation_name = _ident(stream)
+    operation_name = stream.expect_ident()
     parameters: tuple[Parameter, ...] = ()
     exceptions: tuple[str, ...] = ()
     if stream.accept_punct(","):
         # The next list is the argument list when its first element opens
         # with a parameter direction (or the list is empty); otherwise it
         # is the exceptions-raised list with the argument list omitted.
-        checkpoint_is_params = (
-            stream.peek(1).value in _DIRECTIONS
-            or (stream.at_punct("(") and stream.peek(1).value == ")")
+        following = stream.peek_value()
+        checkpoint_is_params = following in _DIRECTIONS or (
+            stream.at_punct("(") and following == ")"
         )
         if checkpoint_is_params:
             parameters = _param_list(stream)
@@ -362,9 +354,9 @@ def _build_add_operation(stream: TokenStream) -> SchemaOperation:
 
 
 def _build_modify_arg_list(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
-    operation_name = _ident(stream)
+    operation_name = stream.expect_ident()
     _comma(stream)
     old_parameters = _param_list(stream)
     _comma(stream)
@@ -376,7 +368,7 @@ def _build_modify_arg_list(stream: TokenStream) -> SchemaOperation:
 
 def _build_one_ident(cls: type) -> Callable[[TokenStream], SchemaOperation]:
     def build(stream: TokenStream) -> SchemaOperation:
-        return cls(_ident(stream))
+        return cls(stream.expect_ident())
 
     return build
 
@@ -387,7 +379,7 @@ def _build_ident_then_lists(
     """``op(Typename, (list) [, (list)])`` shapes (keys, supertype lists)."""
 
     def build(stream: TokenStream) -> SchemaOperation:
-        typename = _ident(stream)
+        typename = stream.expect_ident()
         lists = []
         for _ in range(list_count):
             _comma(stream)
@@ -398,9 +390,9 @@ def _build_ident_then_lists(
 
 
 def _build_modify_attribute_type(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
-    attribute_name = _ident(stream)
+    attribute_name = stream.expect_ident()
     _comma(stream)
     old_type = _type(stream)
     _comma(stream)
@@ -409,9 +401,9 @@ def _build_modify_attribute_type(stream: TokenStream) -> SchemaOperation:
 
 
 def _build_modify_attribute_size(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
-    attribute_name = _ident(stream)
+    attribute_name = stream.expect_ident()
     _comma(stream)
     old_size = _size(stream)
     _comma(stream)
@@ -420,9 +412,9 @@ def _build_modify_attribute_size(stream: TokenStream) -> SchemaOperation:
 
 
 def _build_modify_return_type(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
-    operation_name = _ident(stream)
+    operation_name = stream.expect_ident()
     _comma(stream)
     old_type = _type(stream)
     _comma(stream)
@@ -431,9 +423,9 @@ def _build_modify_return_type(stream: TokenStream) -> SchemaOperation:
 
 
 def _build_modify_exceptions(stream: TokenStream) -> SchemaOperation:
-    typename = _ident(stream)
+    typename = stream.expect_ident()
     _comma(stream)
-    operation_name = _ident(stream)
+    operation_name = stream.expect_ident()
     _comma(stream)
     old_exceptions = _name_list(stream)
     _comma(stream)

@@ -16,6 +16,7 @@ from repro.knowledge.feedback import Feedback
 from repro.knowledge.impact import ImpactReport, impact_of
 from repro.model.errors import SchemaError
 from repro.model.schema import Schema
+from repro.model.validation import raise_on_errors
 from repro.odl.parser import parse_schema
 from repro.ops.base import SchemaOperation
 from repro.repository.localnames import LocalNameMap, apply_local_names
@@ -40,10 +41,14 @@ class SchemaRepository:
     """
 
     def __init__(self, shrink_wrap: Schema, custom_name: str | None = None) -> None:
-        shrink_wrap.validate()
+        # The workspace's first validation is the shrink wrap's: its CoW
+        # fork holds the same interfaces in the same order, so one
+        # validation per open gates a structurally broken schema.
+        workspace = Workspace(shrink_wrap, custom_name)
+        raise_on_errors(shrink_wrap.name, workspace.issues)
         self.shrink_wrap = shrink_wrap
         self.decomposition: Decomposition = decompose(shrink_wrap)
-        self.workspace = Workspace(shrink_wrap, custom_name)
+        self.workspace = workspace
         self.custom_schema: Schema | None = None
         self.mapping: SchemaMapping | None = None
         self.local_names = LocalNameMap()

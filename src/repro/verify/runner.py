@@ -54,14 +54,6 @@ class Subject:
     build: Callable[[], Schema]
 
 
-def catalog_subjects() -> list[Subject]:
-    """Every shrink wrap schema shipped in the catalog."""
-    return [
-        Subject(name, f"load({name!r})", lambda name=name: load(name))
-        for name in SCHEMA_BUILDERS
-    ]
-
-
 def generated_subject(seed: int, types: int = 14) -> Subject:
     """A deterministic synthetic schema (exercises generated shapes)."""
     spec = WorkloadSpec(types=types, seed=seed)
@@ -70,16 +62,6 @@ def generated_subject(seed: int, types: int = 14) -> Subject:
         f"generate_schema({spec!r})",
         lambda: generate_schema(spec),
     )
-
-
-def campaign_subjects(seeds: int) -> list[tuple[Subject, int]]:
-    """(subject, fuzz seed) pairs: catalog and synthetic interleaved."""
-    catalog = catalog_subjects()
-    pairs: list[tuple[Subject, int]] = []
-    for seed in range(seeds):
-        pairs.append((catalog[seed % len(catalog)], seed))
-        pairs.append((generated_subject(seed), seed))
-    return pairs
 
 
 # Sizes the large profile ladders through, cycled per seed.  Each step

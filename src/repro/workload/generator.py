@@ -90,6 +90,10 @@ def generate_schema(spec: WorkloadSpec, name: str | None = None) -> Schema:
     schema = Schema(name or f"synthetic_{spec.types}_{spec.seed}")
 
     type_names = [f"Type{i:03d}" for i in range(spec.types)]
+    # Built and wired detached, then added: wiring an added interface
+    # would land one spine record per write and settle its
+    # ``add_interface`` payload claim with a copy.
+    interfaces: dict[str, InterfaceDef] = {}
     for type_name in type_names:
         interface = InterfaceDef(type_name)
         interface.set_extent(f"{type_name.lower()}_extent")
@@ -103,14 +107,16 @@ def generate_schema(spec: WorkloadSpec, name: str | None = None) -> Schema:
             interface.add_operation(
                 _make_operation(f"op{op_index}", rng)
             )
-        schema.add_interface(interface)
+        interfaces[type_name] = interface
 
-    _wire_isa_chain(schema, type_names, spec)
-    _wire_generalization(schema, type_names, spec, rng)
-    _wire_hub_fanout(schema, type_names, spec)
-    _wire_associations(schema, type_names, spec, rng)
-    _wire_part_of_chain(schema, type_names, spec)
-    _wire_instance_of_chain(schema, type_names, spec)
+    _wire_isa_chain(interfaces, type_names, spec)
+    _wire_generalization(interfaces, type_names, spec, rng)
+    _wire_hub_fanout(interfaces, type_names, spec)
+    _wire_associations(interfaces, type_names, spec, rng)
+    _wire_part_of_chain(interfaces, type_names, spec)
+    _wire_instance_of_chain(interfaces, type_names, spec)
+    for interface in interfaces.values():
+        schema.add_interface(interface)
     schema.validate()
     return schema
 
@@ -125,7 +131,7 @@ def _make_operation(op_name: str, rng: random.Random):
     return Operation(op_name, rng.choice(_SCALARS), parameters)
 
 
-def _wire_isa_chain(schema, type_names, spec) -> None:
+def _wire_isa_chain(interfaces, type_names, spec) -> None:
     """One deep supertype chain across the first ``isa_chain`` types.
 
     Models the degenerate-depth hierarchies that exposed the recursive
@@ -135,20 +141,20 @@ def _wire_isa_chain(schema, type_names, spec) -> None:
     """
     chain = type_names[: max(0, min(spec.isa_chain, len(type_names)))]
     for parent, child in zip(chain, chain[1:]):
-        schema.get(child).add_supertype(parent)
+        interfaces[child].add_supertype(parent)
 
 
-def _wire_generalization(schema, type_names, spec, rng) -> None:
+def _wire_generalization(interfaces, type_names, spec, rng) -> None:
     """Attach a fraction of types under earlier types (guaranteed acyclic)."""
     for index, type_name in enumerate(type_names[1:], start=1):
         if rng.random() < spec.isa_fraction:
             parent = type_names[rng.randrange(0, index)]
-            interface = schema.get(type_name)
+            interface = interfaces[type_name]
             if parent not in interface.supertypes:
                 interface.add_supertype(parent)
 
 
-def _wire_hub_fanout(schema, type_names, spec) -> None:
+def _wire_hub_fanout(interfaces, type_names, spec) -> None:
     """One wide wagon-wheel hub: the first type linked to the next N.
 
     Stresses the fan-out shape of Figure 3's wagon wheel at scale -- a
@@ -158,7 +164,7 @@ def _wire_hub_fanout(schema, type_names, spec) -> None:
     if spec.hub_fanout <= 0 or len(type_names) < 2:
         return
     hub_name = type_names[0]
-    hub = schema.get(hub_name)
+    hub = interfaces[hub_name]
     for spoke, target_name in enumerate(
         type_names[1 : spec.hub_fanout + 1]
     ):
@@ -167,19 +173,19 @@ def _wire_hub_fanout(schema, type_names, spec) -> None:
         hub.add_relationship(
             _end(path, set_of(target_name), target_name, inverse_path)
         )
-        schema.get(target_name).add_relationship(
+        interfaces[target_name].add_relationship(
             _end(inverse_path, NamedType(hub_name), hub_name, path)
         )
 
 
-def _wire_associations(schema, type_names, spec, rng) -> None:
+def _wire_associations(interfaces, type_names, spec, rng) -> None:
     """Create inverse-paired association ends between random types."""
     count = int(len(type_names) * spec.association_density)
     for link_index in range(count):
         owner_name = rng.choice(type_names)
         target_name = rng.choice(type_names)
-        owner = schema.get(owner_name)
-        target = schema.get(target_name)
+        owner = interfaces[owner_name]
+        target = interfaces[target_name]
         path = f"rel{link_index}_to"
         inverse_path = f"rel{link_index}_from"
         if (
@@ -205,17 +211,17 @@ def _end(name, target, inverse_type, inverse_name,
     return RelationshipEnd(name, target, inverse_type, inverse_name, kind)
 
 
-def _wire_part_of_chain(schema, type_names, spec) -> None:
+def _wire_part_of_chain(interfaces, type_names, spec) -> None:
     """A parts explosion across the first ``part_of_chain`` types."""
     chain = type_names[: max(0, min(spec.part_of_chain, len(type_names)))]
     for whole_name, part_name in zip(chain, chain[1:]):
-        schema.get(whole_name).add_relationship(
+        interfaces[whole_name].add_relationship(
             _end(
                 "has_parts", set_of(part_name), part_name, "part_of_whole",
                 RelationshipKind.PART_OF,
             )
         )
-        schema.get(part_name).add_relationship(
+        interfaces[part_name].add_relationship(
             _end(
                 "part_of_whole", NamedType(whole_name), whole_name, "has_parts",
                 RelationshipKind.PART_OF,
@@ -223,19 +229,19 @@ def _wire_part_of_chain(schema, type_names, spec) -> None:
         )
 
 
-def _wire_instance_of_chain(schema, type_names, spec) -> None:
+def _wire_instance_of_chain(interfaces, type_names, spec) -> None:
     """A version chain across the last ``instance_of_chain`` types."""
     if spec.instance_of_chain <= 1:
         return
     chain = type_names[-spec.instance_of_chain:]
     for generic_name, instance_name in zip(chain, chain[1:]):
-        schema.get(generic_name).add_relationship(
+        interfaces[generic_name].add_relationship(
             _end(
                 "instances", set_of(instance_name), instance_name, "generic",
                 RelationshipKind.INSTANCE_OF,
             )
         )
-        schema.get(instance_name).add_relationship(
+        interfaces[instance_name].add_relationship(
             _end(
                 "generic", NamedType(generic_name), generic_name, "instances",
                 RelationshipKind.INSTANCE_OF,

@@ -92,8 +92,8 @@ class TestTokenize:
 class TestTokenStream:
     def test_expect_ident(self):
         stream = TokenStream("interface A")
-        assert stream.expect_ident("interface").value == "interface"
-        assert stream.expect_ident().value == "A"
+        assert stream.expect_ident("interface") == "interface"
+        assert stream.expect_ident() == "A"
 
     def test_expect_ident_failure_mentions_position(self):
         stream = TokenStream("123")
@@ -137,9 +137,10 @@ class TestTokenStream:
     def test_peek_past_lookahead_then_advance(self):
         stream = TokenStream("a b c")
         assert stream.peek(2).value == "c"
-        assert [stream.advance().value for _ in range(3)] == ["a", "b", "c"]
+        assert [stream.advance() for _ in range(3)] == ["a", "b", "c"]
         assert stream.current.type == END
-        assert stream.advance().type == END
+        assert stream.advance() == ""
+        assert stream.kind == END
 
     def test_peek_zero_is_current(self):
         stream = TokenStream("a b")
@@ -147,7 +148,7 @@ class TestTokenStream:
 
     def test_lexical_error_surfaces_when_reached(self):
         stream = TokenStream("a b @")
-        assert stream.advance().value == "a"
+        assert stream.advance() == "a"
         with pytest.raises(OdlSyntaxError, match="unexpected character '@'"):
             stream.advance()
 
@@ -199,6 +200,154 @@ class TestParserRobustnessRegressions:
         for _ in range(depth):
             parsed = parsed.element
         assert parsed.name == "long"
+
+
+# ----------------------------------------------------------------------
+# Pinned error messages and positions
+# ----------------------------------------------------------------------
+
+_PARSERS = {
+    "schema": parse_schema,
+    "type": parse_type,
+    "script": parse_script,
+    "operation": parse_operation,
+    "composite": parse_composite,
+}
+_NESTED = "set<" * (MAX_TYPE_NESTING + 1)
+
+#: (parser, text, message with its position, line, column).
+_PINNED_ERRORS = [
+    ("schema", "interface A {\n  attribute long;\n};",
+     "expected an identifier, found ';' (line 2, column 17)", 2, 17),
+    ("schema", "interface A {\n  relationship set<B> bs inverse B:a;\n};",
+     "expected '::', found ':' (line 2, column 35)", 2, 35),
+    ("schema", "interface A {\n  long f(inn short x);\n};",
+     "expected a parameter direction (in/out/inout), found 'inn' "
+     "(line 2, column 10)", 2, 10),
+    ("schema", "interface A { /* open\n",
+     "unterminated block comment (line 1, column 15)", 1, 15),
+    ("schema", "interface A {\n\tattribute string(30 title;\n};",
+     "expected ')', found 'title' (line 2, column 22)", 2, 22),
+    ("schema", "interface A : {\n};",
+     "expected an identifier, found '{' (line 1, column 15)", 1, 15),
+    ("schema", "interface A {\n  attribute long x;\n}\ninterface",
+     "expected an identifier, found end of input (line 4, column 10)", 4, 10),
+    ("schema", "module M {\n interface A {};\n",
+     "expected '}', found end of input (line 3, column 1)", 3, 1),
+    ("schema", "module M {\n interface A {};\n}; extra",
+     "unexpected trailing input: 'extra' (line 3, column 4)", 3, 4),
+    ("schema", "interface A {\n  keys (a, b;\n};",
+     "expected ')', found ';' (line 2, column 13)", 2, 13),
+    ("schema", "interface A {\n  extent 5;\n};",
+     "expected an identifier, found '5' (line 2, column 10)", 2, 10),
+    ("schema", "interface A {\n  part_of relationship B b inverse B::a "
+     "order_by (x;\n};",
+     "expected ')', found ';' (line 2, column 52)", 2, 52),
+    ("schema", "interface A {\n  long f(in short x) raises (E;\n};",
+     "expected ')', found ';' (line 2, column 31)", 2, 31),
+    ("schema", "interface A {\r\n  attribute long @x;\r\n};",
+     "unexpected character '@' (line 2, column 18)", 2, 18),
+    ("schema", "interface A {\n  attribute string(" + "9" * 5000 + ") x;\n};",
+     "number of 5000 digits is too long (line 2, column 20)", 2, 20),
+    ("schema", "interface é {\n  attribute long ²;\n};",
+     "unexpected character '²' (line 2, column 18)", 2, 18),
+    ("schema", "interface A {\n  attribute set<long, x> y;\n};",
+     "expected a number, found 'x' (line 2, column 23)", 2, 23),
+    ("schema", "// c\n/* d\n e */ interface A {\n  attribute long x;\n}}",
+     "unexpected trailing input: '}' (line 5, column 2)", 5, 2),
+    ("schema", "interface A {\n  attribute long x;\n",
+     "expected an identifier, found end of input (line 3, column 1)", 3, 1),
+    ("type", _NESTED + "long" + ">" * (MAX_TYPE_NESTING + 1),
+     "collection types nested deeper than 64 levels (line 1, column 257)",
+     1, 257),
+    ("type", _NESTED.replace("<", "<\n") + "long",
+     "collection types nested deeper than 64 levels (line 65, column 1)",
+     65, 1),
+    ("type", "set<" * MAX_TYPE_NESTING + "set @",
+     "unexpected character '@' (line 1, column 261)", 1, 261),
+    ("type", "string(²)",
+     "unexpected character '²' (line 1, column 8)", 1, 8),
+    ("type", "set<long",
+     "expected '>', found end of input (line 1, column 9)", 1, 9),
+    ("type", "long long",
+     "unexpected trailing input: 'long' (line 1, column 6)", 1, 6),
+    ("type", "",
+     "expected an identifier, found end of input (line 1, column 1)", 1, 1),
+    ("type", "set<long,>",
+     "expected a number, found '>' (line 1, column 10)", 1, 10),
+    ("script", "add_attribute(A, long, x)\nfrobnicate(A)",
+     "unknown operation 'frobnicate' (line 2, column 1)", 2, 1),
+    ("script", "add_attribute(A, long, x);\n  add_attribute(B long, y)",
+     "expected ',', found 'long' (line 2, column 19)", 2, 19),
+    ("script", "add_type_definition(A)\n5",
+     "unexpected trailing input: '5' (line 2, column 1)", 2, 1),
+    ("script", "add_type_definition(A)\nadd_type_definition(B",
+     "expected ')', found end of input (line 2, column 22)", 2, 22),
+    ("script", "add_operation(A, long, f, (in short x), (E)\n"
+     "add_type_definition(B)",
+     "expected ')', found 'add_type_definition' (line 2, column 1)", 2, 1),
+    ("script", "add_type_definition(A) @",
+     "unexpected character '@' (line 1, column 24)", 1, 24),
+    ("operation", "add_attribute(A, long, 5 x)",
+     "expected ',', found 'x' (line 1, column 26)", 1, 26),
+    # The parameter-list lookahead reaches the bad character first.
+    ("operation", "add_operation(A, long, f, x @)",
+     "unexpected character '@' (line 1, column 29)", 1, 29),
+    ("operation", "add_operation(A, long, f, (x @)",
+     "unexpected character '@' (line 1, column 30)", 1, 30),
+    ("operation", "add_operation(A, long, f, (inn short x))",
+     "expected ')', found 'short' (line 1, column 32)", 1, 32),
+    ("operation", "add_operation(A, long, f, (in short x), (E), x)",
+     "expected ')', found ',' (line 1, column 44)", 1, 44),
+    ("operation", "modify_operation_arg_list(A, f, (in short x), (out long))",
+     "expected an identifier, found ')' (line 1, column 56)", 1, 56),
+    ("operation", "modify_attribute_size(A, x, y, 5)",
+     "expected a number, found 'y' (line 1, column 29)", 1, 29),
+    ("operation", "add_relationship(A, set<B>, bs, B:a)",
+     "expected '::', found ':' (line 1, column 34)", 1, 34),
+    ("operation", "add_type_definition(A) add_type_definition(B)",
+     "unexpected trailing input: 'add_type_definition' (line 1, column 24)",
+     1, 24),
+    ("operation", "add_type_definition(A);;",
+     "unexpected trailing input: ';' (line 1, column 24)", 1, 24),
+    ("operation", "unknown_op(A)",
+     "unknown operation 'unknown_op' (line 1, column 1)", 1, 1),
+    ("operation", "   \n  unknown_op(A)",
+     "unknown operation 'unknown_op' (line 2, column 3)", 2, 3),
+    ("operation", "42(A)",
+     "expected an identifier, found '42' (line 1, column 1)", 1, 1),
+    ("operation", "",
+     "expected an identifier, found end of input (line 1, column 1)", 1, 1),
+    ("operation", "add_key_list(A, (a, b)",
+     "expected ')', found end of input (line 1, column 23)", 1, 23),
+    ("operation", "modify_relationship_target_type(A, p, B, C, D)",
+     "expected ')', found ',' (line 1, column 43)", 1, 43),
+    ("composite", "introduce_abstract_supertype(S, (A, B), 5)",
+     "expected an identifier, found '5' (line 1, column 41)", 1, 41),
+    ("composite", "\n  frobnicate_all(S, (A, B))",
+     "unknown composite operation 'frobnicate_all' (line 2, column 3)", 2, 3),
+    ("composite", "extract_supertype(A, B, (x), (y)",
+     "expected ')', found end of input (line 1, column 33)", 1, 33),
+    ("composite", "split_by_subtyping(A, B, x)",
+     "expected '(', found 'x' (line 1, column 26)", 1, 26),
+    ("composite", "introduce_abstract_supertype(S, (A, B)) trailing",
+     "unexpected trailing input: 'trailing' (line 1, column 41)", 1, 41),
+]
+
+
+class TestPinnedErrors:
+    """Exact messages and positions: computing a position on demand
+    must report the same line and column the per-token counter did."""
+
+    @pytest.mark.parametrize(
+        "parser, text, message, line, column", _PINNED_ERRORS
+    )
+    def test_message_and_position(self, parser, text, message, line, column):
+        with pytest.raises(OdlSyntaxError) as info:
+            _PARSERS[parser](text)
+        assert (str(info.value), info.value.line, info.value.column) == (
+            message, line, column,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +414,117 @@ class TestScannerMatchesReference:
             token[0] == NUMBER and not token[1].isdecimal()
             for token in _outcome(reference_tokenize(text))[0]
         )
+
+
+def _consume(stream: TokenStream) -> str:
+    """Consume the current token with the call a parser would use."""
+    kind, value = stream.kind, stream.value
+    if kind == IDENT:
+        return stream.expect_ident(value)
+    if kind == PUNCT:
+        return stream.expect_punct(value)
+    assert stream.expect_number() == int(value)
+    return value
+
+
+def _drained(text: str, mode: str):
+    """Position every token of a :class:`TokenStream` through ``current``
+    (or :meth:`~TokenStream.peek`), consuming with its own calls.
+
+    ``consume`` scans on each consume; ``peek_value`` looks one token
+    ahead before each consume; ``peek`` positions every token ahead
+    first, positions them again last to first (counting lines
+    backwards), then consumes them all.
+    """
+    stream = TokenStream(text)
+    if mode == "peek":
+        tokens: list[Token] = []
+        while not tokens or tokens[-1].type != END:
+            tokens.append(stream.peek(len(tokens)))
+            yield tokens[-1]
+        for index in reversed(range(1, len(tokens))):
+            assert stream.peek(index) == tokens[index]
+        for token in tokens[:-1]:
+            assert _consume(stream) == token.value
+        assert stream.current == tokens[-1]
+        return
+    while True:
+        token = stream.current
+        assert (stream.kind, stream.value) == (token.type, token.value)
+        assert stream.peek(0) is token
+        yield token
+        if token.type == END:
+            return
+        following = stream.peek_value() if mode == "peek_value" else None
+        assert _consume(stream) == token.value
+        if following is not None:
+            assert stream.value == following
+
+
+_DRAIN_MODES = ("consume", "peek_value", "peek")
+
+
+class TestStreamMatchesReference:
+    """The stream scans on its own, not through :func:`tokenize`; its
+    tokens, positions and errors must match the reference too."""
+
+    @pytest.mark.parametrize("fragment", _FRAGMENT_LIST)
+    def test_each_fragment_in_context(self, fragment):
+        for text in (fragment, f"a{fragment}b", f"x\n {fragment}\r\n{fragment}1"):
+            expected = _outcome(reference_tokenize(text))
+            for mode in _DRAIN_MODES:
+                assert _outcome(_drained(text, mode)) == expected, mode
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT, st.sampled_from(_DRAIN_MODES))
+    def test_tokens_and_errors_match(self, text, mode):
+        assert _outcome(_drained(text, mode)) == _outcome(
+            reference_tokenize(text)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(_DRAIN_MODES),
+    )
+    def test_printed_schemas_match(self, seed, mode):
+        odl = print_schema(generate_schema(WorkloadSpec(types=8, seed=seed)))
+        assert _outcome(_drained(odl, mode)) == _outcome(
+            reference_tokenize(odl)
+        )
+
+
+class TestValidParseIsUnpositioned:
+    """A valid parse builds no :class:`Token` and computes no position:
+    a line and column exist only for an error or a caller that asks."""
+
+    def test_schema_and_script(self, monkeypatch):
+        schema = generate_schema(WorkloadSpec(types=200, seed=1))
+        odl = print_schema(schema)
+        script = "\n".join(
+            operation.to_text()
+            for operation in generate_operations(schema, 100, seed=1)
+        )
+        counts = {"tokens": 0, "positions": 0}
+        token_new = Token.__new__
+        position = TokenStream._position
+
+        def counting_new(cls, *fields):
+            counts["tokens"] += 1
+            return token_new(cls, *fields)
+
+        def counting_position(stream, offset):
+            counts["positions"] += 1
+            return position(stream, offset)
+
+        monkeypatch.setattr(Token, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(TokenStream, "_position", counting_position)
+        assert len(parse_schema(odl, name="s").interfaces) == 200
+        assert len(parse_script(script)) == 100
+        assert counts == {"tokens": 0, "positions": 0}
+        # The counters do see a caller that asks.
+        assert len(list(tokenize("a b"))) == 3
+        assert counts == {"tokens": 3, "positions": 3}
 
 
 # ----------------------------------------------------------------------

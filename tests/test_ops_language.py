@@ -5,7 +5,11 @@ import pytest
 from repro.model.operations import Parameter
 from repro.model.types import named, scalar, set_of
 from repro.odl.lexer import OdlSyntaxError
-from repro.ops.language import parse_operation, parse_script
+from repro.ops.language import (
+    parse_composite,
+    parse_operation,
+    parse_script,
+)
 from repro.ops.attribute_ops import AddAttribute, ModifyAttributeSize
 from repro.ops.operation_ops import AddOperation
 from repro.ops.registry import OPERATION_CLASSES
@@ -137,6 +141,24 @@ class TestErrors:
     def test_bad_parameter_direction(self):
         with pytest.raises(OdlSyntaxError):
             parse_operation("add_operation(A, void, f, (byref short x))")
+
+    def test_bad_lift_flag_points_at_the_flag(self):
+        """The flag's own position, not the token after it."""
+        with pytest.raises(OdlSyntaxError) as info:
+            parse_composite("introduce_abstract_supertype(S, (A, B),\n   maybe   )")
+        assert str(info.value) == (
+            "expected 'lift' or 'nolift', found 'maybe' (line 2, column 4)"
+        )
+        assert (info.value.line, info.value.column) == (2, 4)
+
+    def test_size_on_collection_points_at_the_size(self):
+        """The size argument's position, not the attribute name's."""
+        with pytest.raises(OdlSyntaxError) as info:
+            parse_operation("add_attribute(A, set<long>, 5, x)")
+        assert str(info.value) == (
+            "a size argument requires a scalar type (line 1, column 29)"
+        )
+        assert (info.value.line, info.value.column) == (1, 29)
 
 
 class TestScripts:

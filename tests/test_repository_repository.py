@@ -31,6 +31,51 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SchemaRepository(broken)
 
+    @pytest.mark.parametrize(
+        "odl",
+        [
+            # a dangling supertype
+            "interface A : Ghost {}; interface B { attribute long x; };",
+            # a missing inverse
+            "interface A { relationship B b inverse B::a; };"
+            "interface B { attribute long x; };",
+            # an ISA cycle
+            "interface A : C {}; interface B : A {}; interface C : B {};",
+        ],
+    )
+    def test_rejection_matches_the_reference_scan(self, odl):
+        """The workspace's first validation gates the open: same error
+        message (naming the shrink wrap) and the same issues."""
+        from repro.model.validation import validate_schema
+        from repro.odl.parser import parse_schema
+
+        broken = parse_schema(odl, name="broken")
+        with pytest.raises(ValidationError) as expected:
+            validate_schema(broken, raise_on_error=True)
+        with pytest.raises(ValidationError) as raised:
+            SchemaRepository(broken, custom_name="custom")
+        assert str(raised.value) == str(expected.value)
+        assert "'broken'" in str(raised.value)
+        assert raised.value.issues == expected.value.issues
+
+    def test_open_runs_no_reference_scan(self, small, monkeypatch):
+        """One validation per open: the workspace's, not a second full
+        ``validate_schema`` pass over the shrink wrap."""
+        import repro.model.validation as validation
+
+        calls = []
+        scan = validation.validate_schema
+        monkeypatch.setattr(
+            validation,
+            "validate_schema",
+            lambda *args, **kwargs: calls.append(args) or scan(*args, **kwargs),
+        )
+        repository = SchemaRepository(small)
+        assert calls == []
+        assert repository.workspace.issues == scan(small)
+        SchemaRepository.from_odl("interface A { attribute long x; };")
+        assert calls == []
+
     def test_from_odl(self):
         repository = SchemaRepository.from_odl(
             "interface A { attribute long x; };", name="demo"

@@ -2,6 +2,7 @@
 
 from repro.knowledge.propagation import expand
 from repro.model.fingerprint import schema_fingerprint
+from repro.model.interface import InterfaceDef
 from repro.ops.base import OperationContext
 from repro.workload.generator import (
     WorkloadSpec,
@@ -44,6 +45,24 @@ class TestGenerateSchema:
         stats = generate_schema(spec).stats()
         assert stats["supertype_links"] == 0
         assert stats["relationship_ends"] == 0
+
+    def test_wires_before_adding(self, monkeypatch):
+        """Interfaces are wired detached, then added: no ``add_interface``
+        payload claim is settled with a copy, and the spine holds one
+        record per type."""
+        copies = []
+        copy = InterfaceDef.copy
+        monkeypatch.setattr(
+            InterfaceDef,
+            "copy",
+            lambda interface: copies.append(interface.name) or copy(interface),
+        )
+        spec = WorkloadSpec(types=200, isa_chain=5, hub_fanout=10, seed=1)
+        stats = generate_schema(spec).stats()
+        assert copies == []
+        assert stats["spine.records"] == 200
+        assert stats["supertype_links"] > 0
+        assert stats["relationship_ends"] > 200
 
 
 class TestGenerateOperations:
