@@ -1,7 +1,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json bench bench-smoke bench-session-smoke fuzz fuzz-smoke
+.PHONY: test lint lint-json bench bench-smoke bench-session-smoke fuzz fuzz-smoke \
+	fuzz-scoped-smoke
 
 ## tier-1 suite (unit + integration under tests/)
 test:
@@ -64,3 +65,10 @@ fuzz:
 fuzz-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.verify --seeds 20 --steps 200 \
 		--check-every 3 --with-populations
+
+## ~10s scoped-sweep tripwire: one 1k-type large-profile run whose
+## mid-run sweeps are O(changed) scoped sweeps (11 of them), so every
+## scoped invariant runs on its touched-closure path, then a full sweep
+fuzz-scoped-smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.verify --seeds 0 --large-seeds 1 \
+		--large-check-every 5

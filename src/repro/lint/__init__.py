@@ -5,9 +5,9 @@ contract*: mutators emit spine records and open with the CoW barrier,
 operation classes declare the aspects their ``apply`` touches,
 validation rules read only their declared ``RULE_SCOPES`` scopes, and
 the reference specifications (``scan_*``, ``validate_schema``,
-``Schema.copy``, ``DictAdjacency``) stay independent of the caches they
-verify.  This package turns those contracts into statically checked,
-reified artifacts (DESIGN.md §5k):
+``Schema.copy``) stay independent of the caches they verify.  This
+package turns those contracts into statically checked, reified
+artifacts (DESIGN.md §5k):
 
 * :mod:`repro.lint.loader` -- one AST load of the codebase
   (:class:`~repro.lint.loader.Codebase`), shared by every pass;

@@ -202,14 +202,6 @@ class CallGraph:
             module=info.name, qualname=f"{class_name}.{method_name}", node=node
         )
 
-    def methods_of(self, module_name: str, class_name: str) -> list[FuncRef]:
-        return [
-            FuncRef(module=info.name, qualname=f"{class_name}.{name}", node=node)
-            for name, (info, node) in sorted(
-                self.codebase.mro_methods(module_name, class_name).items()
-            )
-        ]
-
     # ------------------------------------------------------------------
     # call resolution
 

@@ -2,12 +2,12 @@
 
 Every differential invariant in this repo checks a fast path against a
 slow reference specification: ``scan_*`` full scans vs
-:class:`SchemaIndex`, ``validate_schema`` vs :class:`ValidationCache`,
-``DictAdjacency`` vs ``ColumnarAdjacency``, ``Schema.copy`` (eager) vs
-``Schema.fork`` (CoW).  Those invariants are evidence only while the
-reference side is *independent*: a spec that transitively answers from
-the cache it is supposed to verify would agree with it by construction,
-and the whole verification tower becomes circular.
+:class:`SchemaIndex` and its ``ColumnarAdjacency`` store,
+``validate_schema`` vs :class:`ValidationCache`, ``Schema.copy``
+(eager) vs ``Schema.fork`` (CoW).  Those invariants are evidence only
+while the reference side is *independent*: a spec that transitively
+answers from the cache it is supposed to verify would agree with it by
+construction, and the whole verification tower becomes circular.
 
 This pass takes the transitive call closure of every spec root and
 flags, anywhere in it:
@@ -43,7 +43,6 @@ FAST_PATH_CLASSES = frozenset(
 INDEX_MODULE = "repro.model.index"
 VALIDATION_MODULE = "repro.model.validation"
 SCHEMA_MODULE = "repro.model.schema"
-COLUMNAR_MODULE = "repro.model.columnar"
 
 
 def spec_roots(graph: CallGraph) -> list[FuncRef]:
@@ -66,8 +65,6 @@ def spec_roots(graph: CallGraph) -> list[FuncRef]:
     copy_ref = graph.method(SCHEMA_MODULE, "Schema", "copy")
     if copy_ref is not None:
         roots.append(copy_ref)
-    if codebase.class_in(COLUMNAR_MODULE, "DictAdjacency") is not None:
-        roots.extend(graph.methods_of(COLUMNAR_MODULE, "DictAdjacency"))
     return roots
 
 
@@ -145,15 +142,15 @@ def independence_findings(
     "independence",
     rules=("ref-independence",),
     contract=(
-        "scan_*, validate_schema, Schema.copy, and DictAdjacency never "
-        "transitively query SchemaIndex / ValidationCache / "
-        "ColumnarAdjacency (differential invariants stay non-circular)"
+        "scan_*, validate_schema, and Schema.copy never transitively "
+        "query SchemaIndex / ValidationCache / ColumnarAdjacency "
+        "(differential invariants stay non-circular)"
     ),
 )
 def run(context: LintContext) -> list[Finding]:
     graph = CallGraph(
         context.codebase,
-        method_universe=("Schema", "InterfaceDef", "DictAdjacency"),
+        method_universe=("Schema", "InterfaceDef"),
     )
     roots = spec_roots(graph)
     findings = independence_findings(graph, roots)

@@ -21,11 +21,12 @@ This module stores the same link families column-wise instead:
   them it keeps the rest of the state an edit queries: a declaration
   position per id, the owners of to-many part-of / instance-of ends
   with their reverse map, and the owners of each extent name.
-* :class:`DictAdjacency` is the retained dict implementation, kept as
-  the executable reference specification: the columnar-vs-dict
-  differential (``columnar-vs-dict-adjacency`` invariant and the
-  property tests) folds the same stream into both and requires
-  identical answers after every operation.
+
+Its specification is :func:`repro.model.index.scan_adjacency`, which
+derives the four exported maps from the interfaces: the
+``columnar-vs-scan`` invariant and the property tests in
+``tests/test_columnar_adjacency.py`` require the store to equal it
+after every operation.
 
 **Id / free-list lifecycle.**  An id's refcount is the number of
 reasons its name must stay resolvable: +1 while an interface of that
@@ -994,7 +995,7 @@ class ColumnarAdjacency:
         """Re-derive every refcount / row invariant; [] when sound.
 
         Part of the differential contract: the property tests and the
-        ``columnar-vs-dict-adjacency`` invariant call this so a
+        ``columnar-vs-scan`` invariant call this so a
         refcount drift surfaces at the op that caused it, not at the
         eventual use-after-free.
         """
@@ -1050,257 +1051,3 @@ class ColumnarAdjacency:
                     f"refs_in[{target}] is not the transpose of refs_out"
                 )
         return problems
-
-
-class DictAdjacency:
-    """The dict-of-sets adjacency: retained reference specification.
-
-    This is the PR 6 incremental implementation, verbatim in
-    behaviour: parent tuples and child sets keyed by name, a lazily
-    folded reverse-reference map, full lazy rebuild when dirty.  The
-    columnar store is differentially checked against it after every
-    operation (``columnar-vs-dict-adjacency``, plus the property tests
-    in ``tests/test_columnar_adjacency.py``).
-    """
-
-    __slots__ = (
-        "_schema",
-        "_isa_children",
-        "_isa_parents",
-        "_isa_dirty",
-        "_refs_of",
-        "_referencers",
-        "_refs_pending",
-        "_refs_dirty",
-    )
-
-    def __init__(self, schema: "Schema", subscribe: bool = False) -> None:
-        self._schema = schema
-        self._isa_children: dict[str, set[str]] = {}
-        self._isa_parents: dict[str, tuple[str, ...]] = {}
-        self._isa_dirty = True
-        self._refs_of: dict[str, frozenset[str]] = {}
-        self._referencers: dict[str, set[str]] = {}
-        self._refs_pending: set[str] = set()
-        self._refs_dirty = True
-        if subscribe:
-            schema.log.subscribe(self.observe)
-
-    # -- spine feed (identical protocol) -------------------------------
-
-    def observe(self, record: MutationRecord) -> None:
-        kind = record.kind
-        if kind == "scope":
-            return
-        name = record.interface
-        if name is not None:
-            if not self._refs_dirty:
-                self._refs_pending.add(name)
-            if not self._isa_dirty:
-                if kind in ISA_KINDS:
-                    self._isa_update(name, record)
-                elif kind == "add_interface":
-                    self._isa_link(
-                        name, tuple(self._schema.interfaces[name].supertypes)
-                    )
-                elif kind == "remove_interface":
-                    self._isa_unlink(name)
-        elif not replayable_kind(kind):
-            self._isa_dirty = True
-            self._refs_dirty = True
-
-    def _isa_link(self, name: str, parents: tuple[str, ...]) -> None:
-        self._isa_parents[name] = parents
-        children = self._isa_children
-        for parent in parents:
-            children.setdefault(parent, set()).add(name)
-
-    def _isa_unlink(self, name: str) -> None:
-        children = self._isa_children
-        for parent in self._isa_parents.pop(name, ()):
-            bucket = children.get(parent)
-            if bucket is not None:
-                bucket.discard(name)
-
-    def _isa_update(self, name: str, record: MutationRecord) -> None:
-        kind = record.kind
-        parents = self._isa_parents.get(name, ())
-        children = self._isa_children
-        if kind == "add_supertype":
-            supertype = record.payload["supertype"]
-            self._isa_parents[name] = parents + (supertype,)
-            children.setdefault(supertype, set()).add(name)
-        elif kind == "remove_supertype":
-            supertype = record.payload["supertype"]
-            self._isa_parents[name] = tuple(
-                parent for parent in parents if parent != supertype
-            )
-            bucket = children.get(supertype)
-            if bucket is not None:
-                bucket.discard(name)
-        else:  # set_supertypes
-            new = tuple(record.payload["supertypes"])
-            self._isa_parents[name] = new
-            new_set = set(new)
-            for parent in parents:
-                if parent not in new_set:
-                    bucket = children.get(parent)
-                    if bucket is not None:
-                        bucket.discard(name)
-            old_set = set(parents)
-            for parent in new:
-                if parent not in old_set:
-                    children.setdefault(parent, set()).add(name)
-
-    # -- lazy folds ----------------------------------------------------
-
-    def _isa_sets(self) -> dict[str, set[str]]:
-        if self._isa_dirty:
-            self._isa_children = {}
-            self._isa_parents = {}
-            for interface in self._schema:
-                self._isa_link(interface.name, tuple(interface.supertypes))
-            self._isa_dirty = False
-        return self._isa_children
-
-    def _fold_refs(self) -> None:
-        interfaces = self._schema.interfaces
-        if self._refs_dirty:
-            self._refs_of = {}
-            self._referencers = {}
-            referencers = self._referencers
-            for interface in self._schema:
-                refs = frozenset(interface.referenced_type_names())
-                self._refs_of[interface.name] = refs
-                for target in refs:
-                    referencers.setdefault(target, set()).add(interface.name)
-            self._refs_dirty = False
-            self._refs_pending.clear()
-            return
-        if not self._refs_pending:
-            return
-        referencers = self._referencers
-        for name in self._refs_pending:
-            interface = interfaces.get(name)
-            new = (
-                frozenset(interface.referenced_type_names())
-                if interface is not None
-                else frozenset()
-            )
-            old = self._refs_of.get(name, frozenset())
-            for target in old - new:
-                bucket = referencers.get(target)
-                if bucket is not None:
-                    bucket.discard(name)
-            for target in new - old:
-                referencers.setdefault(target, set()).add(name)
-            if interface is None:
-                self._refs_of.pop(name, None)
-            else:
-                self._refs_of[name] = new
-        self._refs_pending.clear()
-
-    # -- queries (same API as ColumnarAdjacency) -----------------------
-
-    def descendants_of(self, name: str) -> set[str]:
-        children = self._isa_sets()
-        result: set[str] = set()
-        frontier = list(children.get(name, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in result:
-                continue
-            result.add(current)
-            bucket = children.get(current)
-            if bucket:
-                frontier.extend(bucket)
-        return result
-
-    def descendants_closure(self, seeds: Iterable[str]) -> set[str]:
-        children = self._isa_sets()
-        result: set[str] = set()
-        frontier: list[str] = []
-        for seed in seeds:
-            bucket = children.get(seed)
-            if bucket:
-                frontier.extend(bucket)
-        while frontier:
-            current = frontier.pop()
-            if current in result:
-                continue
-            result.add(current)
-            bucket = children.get(current)
-            if bucket:
-                frontier.extend(bucket)
-        return result
-
-    def referencers_of(self, target: str) -> set[str]:
-        self._fold_refs()
-        owners = self._referencers.get(target)
-        return set(owners) if owners else set()
-
-    def refs_of(self, name: str) -> frozenset[str]:
-        self._fold_refs()
-        return self._refs_of.get(name, frozenset())
-
-    def isa_parents_map(self) -> dict[str, tuple[str, ...]]:
-        self._isa_sets()
-        return dict(self._isa_parents)
-
-    def isa_children_map(self) -> dict[str, set[str]]:
-        children = self._isa_sets()
-        return {
-            parent: set(bucket) for parent, bucket in children.items() if bucket
-        }
-
-    def refs_of_map(self) -> dict[str, frozenset[str]]:
-        self._fold_refs()
-        return dict(self._refs_of)
-
-    def referencers_map(self) -> dict[str, set[str]]:
-        self._fold_refs()
-        return {
-            target: set(owners)
-            for target, owners in self._referencers.items()
-            if owners
-        }
-
-
-def adjacency_differential(
-    columnar: ColumnarAdjacency, reference: DictAdjacency
-) -> list[str]:
-    """Mismatch messages between the flat-array store and the dict spec.
-
-    Compares all four exported views plus the columnar store's internal
-    refcount integrity; [] means the two implementations agree exactly
-    on the current schema state.
-    """
-    problems = list(columnar.check_integrity())
-    pairs = (
-        ("isa_parents", columnar.isa_parents_map(), reference.isa_parents_map()),
-        (
-            "isa_children",
-            columnar.isa_children_map(),
-            reference.isa_children_map(),
-        ),
-        ("refs_of", columnar.refs_of_map(), reference.refs_of_map()),
-        (
-            "referencers",
-            columnar.referencers_map(),
-            reference.referencers_map(),
-        ),
-    )
-    for label, flat, spec in pairs:
-        if flat == spec:
-            continue
-        missing = sorted(set(spec) - set(flat))[:3]
-        spurious = sorted(set(flat) - set(spec))[:3]
-        differing = sorted(
-            key for key in set(flat) & set(spec) if flat[key] != spec[key]
-        )[:3]
-        problems.append(
-            f"{label}: columnar != dict spec "
-            f"(missing {missing!r}, spurious {spurious!r}, "
-            f"differing {differing!r})"
-        )
-    return problems

@@ -38,7 +38,9 @@ The module also ships the ``scan_*`` reference implementations: the
 original full-scan queries, kept as the executable specification the
 index is validated against (property tests and the ``index-*-vs-scan``
 invariants) and benchmarked against
-(``benchmarks/test_bench_index_scaling.py``).
+(``benchmarks/test_bench_index_scaling.py``), plus
+:func:`scan_adjacency`, the specification of the columnar store's
+exports (the ``columnar-vs-scan`` invariant).
 """
 
 from __future__ import annotations
@@ -106,10 +108,8 @@ class SchemaIndex:
         #: after that is a rescan (counted in ``rebuilds``), the first
         #: one a cold build (a miss).
         self._answered = False
-        #: The columnar store; the dict implementation it replaced
-        #: survives as :class:`repro.model.columnar.DictAdjacency`, the
-        #: reference spec the ``columnar-vs-dict-adjacency``
-        #: differential holds its ISA and reference columns to.
+        #: The columnar store; the ``columnar-vs-scan`` differential
+        #: holds its exports to :func:`scan_adjacency`.
         self.adjacency = ColumnarAdjacency(schema)
         self.hits = 0
         self.misses = 0
@@ -478,3 +478,32 @@ def scan_relationship_pairs(
         for interface in schema
         for end in interface.relationships.values()
     ]
+
+
+def scan_adjacency(
+    schema: "Schema",
+) -> tuple[
+    dict[str, tuple[str, ...]],
+    dict[str, set[str]],
+    dict[str, frozenset[str]],
+    dict[str, set[str]],
+]:
+    """The four maps the columnar store exports, derived from the
+    interfaces: defined name -> its supertypes (declaration order),
+    supertype name -> its subtypes, defined name -> the names it
+    references (``InterfaceDef.referenced_type_names``), and referenced
+    name -> the names referencing it.  The two reverse maps key
+    dangling names too and hold no empty sets."""
+    parents: dict[str, tuple[str, ...]] = {}
+    children: dict[str, set[str]] = {}
+    refs: dict[str, frozenset[str]] = {}
+    referencers: dict[str, set[str]] = {}
+    for interface in schema:
+        name = interface.name
+        parents[name] = tuple(interface.supertypes)
+        for supertype in interface.supertypes:
+            children.setdefault(supertype, set()).add(name)
+        refs[name] = targets = frozenset(interface.referenced_type_names())
+        for target in targets:
+            referencers.setdefault(target, set()).add(name)
+    return parents, children, refs, referencers

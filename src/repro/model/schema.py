@@ -579,9 +579,7 @@ class Schema:
         """Size metrics plus spine and subscriber counters.
 
         Spine and subscriber counters live under namespaced keys
-        (``spine.seq``, ``index.hits``, ``validation.full`` ...); the
-        flat legacy keys (``index_hits``, ``validation_full`` ...) are
-        kept as aliases for one release.
+        (``spine.seq``, ``index.hits``, ``validation.full`` ...).
         """
         index = self._index.stats()
         if self._validation is not None:
@@ -594,7 +592,7 @@ class Schema:
                 "interfaces_revalidated": 0,
                 "interfaces_reused": 0,
             }
-        stats = {
+        return {
             "interfaces": len(self),
             "attributes": sum(len(i.attributes) for i in self),
             "relationship_ends": sum(len(i.relationships) for i in self),
@@ -618,17 +616,6 @@ class Schema:
             "analysis.hits": self._analysis_hits,
             "analysis.misses": self._analysis_misses,
         }
-        # Deprecated flat aliases, kept for one release.
-        stats["index_hits"] = stats["index.hits"]
-        stats["index_misses"] = stats["index.misses"]
-        stats["index_rebuilds"] = stats["index.rebuilds"]
-        stats["index_generation"] = stats["index.generation"]
-        stats["validation_clean_hits"] = stats["validation.clean_hits"]
-        stats["validation_full"] = stats["validation.full"]
-        stats["validation_incremental"] = stats["validation.incremental"]
-        stats["validation_revalidated"] = stats["validation.revalidated"]
-        stats["validation_reused"] = stats["validation.reused"]
-        return stats
 
     def __str__(self) -> str:
         return f"schema {self.name} ({len(self)} interfaces)"

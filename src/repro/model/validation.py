@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.model.errors import ValidationError
-from repro.model.index import scan_link_edges
 from repro.model.interface import InterfaceDef
 from repro.model.mutation import Aspect
 from repro.model.relationships import RelationshipKind
@@ -399,35 +398,36 @@ def isa_successors(schema: Schema) -> Callable[[str], Iterable[str]]:
     return successors
 
 
-def part_of_successors(schema: Schema) -> Callable[[str], Iterable[str]]:
-    """Successor function of the aggregation graph (whole -> part).
+def link_successors(
+    schema: Schema, kind: RelationshipKind
+) -> Callable[[str], Iterable[str]]:
+    """Successor function of the part-of or instance-of graph of *kind*
+    (whole -> part, generic -> instance).
 
-    Built from the :func:`~repro.model.index.scan_link_edges` reference
-    scan, *not* ``schema.part_of_edges()``: the latter answers from
+    A node's successors are the targets of its to-many ends of *kind*,
+    in :func:`~repro.model.index.scan_link_edges` order, read off the
+    owner only when asked for: a search seeded at a few names never
+    walks the whole schema.  It reads the interfaces, *not*
+    ``schema.part_of_edges()``: the latter answers from
     :class:`~repro.model.index.SchemaIndex`, and the reference
     specification must stay independent of the caches it verifies
-    (the ``ref-independence`` lint pass enforces this).  The cache layer
+    (the ``independence`` lint pass enforces this).  The cache layer
     keeps its own index-backed successor builders in
     :mod:`repro.model.validation_cache`.
     """
-    edges: dict[str, list[str]] = {}
-    for whole, part, _ in scan_link_edges(schema, RelationshipKind.PART_OF):
-        edges.setdefault(whole, []).append(part)
-    return lambda n: edges.get(n, ())
+    interfaces = schema.interfaces
 
+    def successors(name: str) -> Iterable[str]:
+        interface = interfaces.get(name)
+        if interface is None:
+            return ()
+        return [
+            end.target_type
+            for end in interface.relationships_of_kind(kind)
+            if end.is_to_many
+        ]
 
-def instance_of_successors(schema: Schema) -> Callable[[str], Iterable[str]]:
-    """Successor function of the instance-of graph (generic -> instance).
-
-    Scan-based for the same independence reason as
-    :func:`part_of_successors`.
-    """
-    edges: dict[str, list[str]] = {}
-    for generic, instance, _ in scan_link_edges(
-        schema, RelationshipKind.INSTANCE_OF
-    ):
-        edges.setdefault(generic, []).append(instance)
-    return lambda n: edges.get(n, ())
+    return successors
 
 
 def isa_cycle_issue(cycle: list[str]) -> Issue:
@@ -463,14 +463,16 @@ def check_isa_cycles(schema: Schema) -> Iterator[Issue]:
 
 def check_part_of_cycles(schema: Schema) -> Iterator[Issue]:
     """The aggregation graph must be acyclic (no whole is its own part)."""
-    cycle = _find_cycle(schema.type_names(), part_of_successors(schema))
+    successors = link_successors(schema, RelationshipKind.PART_OF)
+    cycle = _find_cycle(schema.type_names(), successors)
     if cycle is not None:
         yield part_of_cycle_issue(cycle)
 
 
 def check_instance_of_cycles(schema: Schema) -> Iterator[Issue]:
     """The instance-of graph must be acyclic."""
-    cycle = _find_cycle(schema.type_names(), instance_of_successors(schema))
+    successors = link_successors(schema, RelationshipKind.INSTANCE_OF)
+    cycle = _find_cycle(schema.type_names(), successors)
     if cycle is not None:
         yield instance_of_cycle_issue(cycle)
 

@@ -157,13 +157,12 @@ def _instance_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
 def _part_of_successors_fast(
     schema: "Schema",
 ) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.part_of_successors``.
+    """Index-backed twin of ``validation.link_successors`` for part-of.
 
-    The reference spec builds its successor map from the
-    ``scan_link_edges`` full scan (it must stay cache-independent); the
-    cache reads one node's parts off the index's link state, which
-    lists a whole's parts in the same end order, so the two successor
-    functions agree entry for entry.
+    The reference spec reads a node's to-many ends off its interface
+    (it must stay cache-independent); the cache reads one node's parts
+    off the index's link state, which lists a whole's parts in the same
+    end order, so the two successor functions agree entry for entry.
     """
     return schema.index.parts_of
 
@@ -171,7 +170,8 @@ def _part_of_successors_fast(
 def _instance_of_successors_fast(
     schema: "Schema",
 ) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.instance_of_successors``."""
+    """Index-backed twin of ``validation.link_successors`` for
+    instance-of."""
     return schema.index.instances_of
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from sys import intern
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from repro.model.errors import ReproError
 
@@ -112,7 +112,8 @@ class TokenStream:
     looks ahead without positioning.
 
     Tokens are scanned on demand; only the current token and whatever
-    the lookahead has scanned are held.
+    the lookahead has scanned are held.  A lexical error is sticky:
+    every later call that needs a token past it raises it again.
     """
 
     __slots__ = (
@@ -152,8 +153,15 @@ class TokenStream:
         if start == len(text):
             return END, "", start
         if text.startswith("/*", start):
-            raise self.error("unterminated block comment", start)
-        raise self.error(f"unexpected character {text[start]!r}", start)
+            self._fail("unterminated block comment", start)
+        self._fail(f"unexpected character {text[start]!r}", start)
+
+    def _fail(self, message: str, start: int) -> NoReturn:
+        """Raise the lexical error at *start*, and make every later scan
+        raise it again: ``finditer`` has already moved past the bad
+        text, so the stream must never resume after it."""
+        self._next = lambda: self._fail(message, start)
+        raise self.error(message, start)
 
     def _position(self, offset: int) -> tuple[int, int]:
         """``(line, column)`` of *offset*, counted from the last position

@@ -22,19 +22,22 @@ string per violation, decorate it with :func:`invariant`, and it is
 checked everywhere automatically (fuzzer, CLI, tests).  Schema-level
 checks receive ``(schema, context)``; workspace-level checks (decorated
 with ``workspace_invariant``) receive the live
-:class:`~repro.repository.workspace.Workspace`.
+:class:`~repro.repository.workspace.Workspace`.  A schema-level check
+that can judge its clause on a set of interfaces takes a third
+parameter, ``names`` (``None`` means the whole schema), and registers
+with ``scoped=True``.
 
 **O(changed) sweeps.**  Passing ``touched`` (the interface names the
 spine recorded since the previous sweep) to :func:`check_schema` /
-:func:`check_workspace` switches to scoped mode: invariants with a
-:func:`scoped_invariant` variant check only the touched closure
-(touched + ISA descendants + referencers), the O(1)/O(history)
-invariants in :data:`ALWAYS_FULL` still run whole, and everything else
-is *deferred* -- the caller owes one full-registry sweep at sequence
-end (the fuzzer's ``final_check``).  That makes per-step verification
-cost proportional to the plan, not the schema, which is what lets
-``make fuzz --large-seeds`` keep both tiers on at 10k types
-(DESIGN.md §5i).
+:func:`check_workspace` switches to scoped mode.  Each invariant's
+:attr:`Invariant.reach` says what it does there: a ``scoped`` check
+receives the touched closure (touched + ISA descendants + referencers)
+as ``names``; the O(1)/O(history) invariants in :data:`ALWAYS_FULL`
+run ``whole``; everything else is ``deferred`` -- the caller owes one
+full-registry sweep at sequence end (the fuzzer's ``final_check``).
+That makes per-step verification cost proportional to the plan, not
+the schema, which is what lets ``make fuzz --large-seeds`` keep both
+tiers on at 10k types (DESIGN.md §5i).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from repro.concepts.decompose import decompose, reconstruct
 from repro.knowledge.consistency import structural_feedback
 from repro.knowledge.feedback import FeedbackLevel
 from repro.model import index as index_module
-from repro.model.columnar import DictAdjacency, adjacency_differential
 from repro.model.fingerprint import schema_fingerprint, schemas_equal
 from repro.model.schema import Schema
 from repro.model.relationships import RelationshipKind
@@ -54,20 +56,13 @@ from repro.model.validation import (
     SEVERITY_ERROR,
     _find_cycle,
     cardinality_issues,
-    check_cardinality_roles,
-    check_dangling_types,
-    check_instance_of_cycles,
-    check_inverses,
-    check_isa_cycles,
-    check_keys,
-    check_order_by,
-    check_part_of_cycles,
     dangling_type_issues,
     instance_of_cycle_issue,
     inverse_issues,
     isa_cycle_issue,
     isa_successors,
     key_issues,
+    link_successors,
     order_by_issues,
     part_of_cycle_issue,
     validate_schema,
@@ -92,8 +87,18 @@ class Violation:
         return f"[{self.invariant}] {self.message}"
 
 
-SchemaCheck = Callable[[Schema, OperationContext], Iterator[str]]
+SchemaCheck = Callable[..., Iterator[str]]
 WorkspaceCheck = Callable[[Workspace], Iterator[str]]
+
+#: What a scoped sweep does with an invariant (:attr:`Invariant.reach`).
+REACH_CLOSURE = "closure"  # checks the touched closure only
+REACH_WHOLE = "whole"  # checks the whole schema / workspace
+REACH_DEFERRED = "deferred"  # skipped; the final full sweep covers it
+
+#: Invariants that run in full even during a scoped sweep: they are
+#: O(1)/O(history) in the schema size, so skipping them buys nothing
+#: and they anchor the sweep (generation bookkeeping, history shape).
+ALWAYS_FULL = frozenset({"spine-generation", "history-shape"})
 
 
 @dataclass(frozen=True)
@@ -105,32 +110,21 @@ class Invariant:
     tier: str
     check: SchemaCheck | WorkspaceCheck
     scope: str  # "schema" | "workspace"
+    #: Whether ``check`` takes ``names`` -- the sorted, defined touched
+    #: closure in a scoped sweep -- and judges its clause on just those
+    #: interfaces.
+    scoped: bool = False
+
+    @property
+    def reach(self) -> str:
+        """What a scoped sweep runs this invariant over."""
+        if self.scoped:
+            return REACH_CLOSURE
+        return REACH_WHOLE if self.name in ALWAYS_FULL else REACH_DEFERRED
 
 
 #: Every registered invariant, in registration order.
 INVARIANTS: list[Invariant] = []
-
-#: Scoped (O(changed)) variants keyed by invariant name.  A scoped
-#: check receives ``(schema, context, scoped)`` where ``scoped`` is the
-#: sorted, defined touched closure (touched names + their ISA
-#: descendants + their referencers) and must verify the same clause
-#: restricted to that neighbourhood.
-SCOPED_CHECKS: dict[str, Callable[..., Iterator[str]]] = {}
-
-#: Invariants that run in full even during a scoped sweep: they are
-#: O(1)/O(history) in the schema size, so skipping them buys nothing
-#: and they anchor the sweep (generation bookkeeping, history shape).
-ALWAYS_FULL = frozenset({"spine-generation", "history-shape"})
-
-
-def scoped_invariant(name: str):
-    """Register the O(changed) variant of the invariant *name*."""
-
-    def decorator(check: Callable[..., Iterator[str]]):
-        SCOPED_CHECKS[name] = check
-        return check
-
-    return decorator
 
 
 def touched_closure(schema: Schema, touched: Iterable[str]) -> list[str]:
@@ -153,11 +147,16 @@ def touched_closure(schema: Schema, touched: Iterable[str]) -> list[str]:
     return sorted(name for name in closure if name in schema.interfaces)
 
 
-def invariant(name: str, clause: str, tier: str = TIER_CHEAP):
-    """Register a schema-level invariant check function."""
+def invariant(
+    name: str, clause: str, tier: str = TIER_CHEAP, scoped: bool = False
+):
+    """Register a schema-level invariant check function; with *scoped*
+    it takes ``(schema, context, names=None)``."""
 
     def decorator(check: SchemaCheck) -> SchemaCheck:
-        INVARIANTS.append(Invariant(name, clause, tier, check, "schema"))
+        INVARIANTS.append(
+            Invariant(name, clause, tier, check, "schema", scoped)
+        )
         return check
 
     return decorator
@@ -183,10 +182,10 @@ def check_schema(
     """Run every (selected) schema-level invariant over *schema*.
 
     With *touched* (interface names the spine recorded since the last
-    sweep) the run is *scoped*: invariants with a registered
-    :data:`SCOPED_CHECKS` variant verify only the touched closure,
-    :data:`ALWAYS_FULL` invariants run whole, and the rest are skipped
-    -- the caller owes a full sweep at sequence end.
+    sweep) the run is *scoped*: each invariant runs as its
+    :attr:`Invariant.reach` says -- ``scoped`` ones over the touched
+    closure, :data:`ALWAYS_FULL` ones whole, the rest not at all (the
+    caller owes a full sweep at sequence end).
     """
     context = context or OperationContext()
     wanted = None if names is None else set(names)
@@ -200,16 +199,12 @@ def check_schema(
             continue
         if wanted is not None and inv.name not in wanted:
             continue
-        if scoped_names is None:
+        if scoped_names is None or inv.reach == REACH_WHOLE:
             messages = inv.check(schema, context)
+        elif inv.reach == REACH_CLOSURE:
+            messages = inv.check(schema, context, scoped_names)
         else:
-            scoped = SCOPED_CHECKS.get(inv.name)
-            if scoped is not None:
-                messages = scoped(schema, context, scoped_names)
-            elif inv.name in ALWAYS_FULL:
-                messages = inv.check(schema, context)
-            else:
-                continue  # deferred to the caller's final full sweep
+            continue  # deferred to the caller's final full sweep
         violations.extend(Violation(inv.name, message) for message in messages)
     return violations
 
@@ -223,8 +218,8 @@ def check_workspace(
     """Run schema invariants on the workspace schema plus history checks.
 
     *touched* scopes the sweep exactly as in :func:`check_schema`;
-    workspace-level invariants without a scoped variant are skipped in
-    scoped mode except those in :data:`ALWAYS_FULL`.
+    there, workspace-level invariants run only if they are in
+    :data:`ALWAYS_FULL`.
     """
     violations = check_schema(
         workspace.schema, workspace.context, tiers=tiers, names=names,
@@ -237,7 +232,7 @@ def check_workspace(
             continue
         if wanted is not None and inv.name not in wanted:
             continue
-        if touched is not None and inv.name not in ALWAYS_FULL:
+        if touched is not None and inv.reach != REACH_WHOLE:
             continue
         violations.extend(
             Violation(inv.name, message) for message in inv.check(workspace)
@@ -246,11 +241,13 @@ def check_workspace(
 
 
 def describe_registry() -> str:
-    """One line per invariant: name, tier, scope, paper clause."""
+    """One line per invariant: name, tier, scope, reach in a scoped
+    sweep, paper clause."""
     lines = []
     for inv in INVARIANTS:
         lines.append(
-            f"{inv.name:32s} {inv.tier:9s} {inv.scope:9s} {inv.clause}"
+            f"{inv.name:32s} {inv.tier:9s} {inv.scope:9s} {inv.reach:8s} "
+            f"{inv.clause}"
         )
     return "\n".join(lines)
 
@@ -260,74 +257,111 @@ def describe_registry() -> str:
 # ----------------------------------------------------------------------
 
 
-def _rule_messages(rule, schema: Schema) -> Iterator[str]:
-    for issue in rule(schema):
-        if issue.severity == SEVERITY_ERROR:
-            yield str(issue)
+def _rule_messages(
+    rule, schema: Schema, names: Iterable[str] | None
+) -> Iterator[str]:
+    """Error messages of the per-interface *rule* over the interfaces
+    named in *names* (every interface when ``None``)."""
+    if names is None:
+        interfaces: Iterable = schema
+    else:
+        defined = schema.interfaces
+        interfaces = (defined[name] for name in names if name in defined)
+    for interface in interfaces:
+        for issue in rule(schema, interface):
+            if issue.severity == SEVERITY_ERROR:
+                yield str(issue)
+
+
+def _cycle_messages(
+    schema: Schema, names: Iterable[str] | None, successors, issue
+) -> Iterator[str]:
+    """The cycle issue of one graph, searched from *names* (every type
+    when ``None``).  A mutation can only create a cycle passing through
+    a touched node, and every cycle is reachable from each of its
+    members, so a search seeded at the touched closure finds it."""
+    seeds = schema.type_names() if names is None else names
+    cycle = _find_cycle(seeds, successors)
+    if cycle is not None:
+        yield str(issue(cycle))
 
 
 @invariant(
     "dangling-types",
     "Section 3.1: every type name used by a construct is defined",
+    scoped=True,
 )
-def _check_dangling(schema, context):
-    yield from _rule_messages(check_dangling_types, schema)
+def _check_dangling(schema, context, names=None):
+    yield from _rule_messages(dangling_type_issues, schema, names)
 
 
 @invariant(
     "inverse-pairing",
     "Section 3.1: relationship ends always pair with a declared inverse",
+    scoped=True,
 )
-def _check_inverse_pairing(schema, context):
-    yield from _rule_messages(check_inverses, schema)
+def _check_inverse_pairing(schema, context, names=None):
+    yield from _rule_messages(inverse_issues, schema, names)
 
 
 @invariant(
     "hierarchy-one-to-many",
     "Section 3.1: part-of / instance-of traversals are implicitly 1:N",
+    scoped=True,
 )
-def _check_one_to_many(schema, context):
-    yield from _rule_messages(check_cardinality_roles, schema)
+def _check_one_to_many(schema, context, names=None):
+    yield from _rule_messages(cardinality_issues, schema, names)
 
 
 @invariant(
     "isa-acyclic",
     "Section 3.2: the generalization hierarchy is a DAG",
+    scoped=True,
 )
-def _check_isa_acyclic(schema, context):
-    yield from _rule_messages(check_isa_cycles, schema)
+def _check_isa_acyclic(schema, context, names=None):
+    yield from _cycle_messages(
+        schema, names, isa_successors(schema), isa_cycle_issue
+    )
 
 
 @invariant(
     "part-of-acyclic",
     "Section 3.1: the aggregation (parts explosion) graph is a DAG",
+    scoped=True,
 )
-def _check_part_of_acyclic(schema, context):
-    yield from _rule_messages(check_part_of_cycles, schema)
+def _check_part_of_acyclic(schema, context, names=None):
+    successors = link_successors(schema, RelationshipKind.PART_OF)
+    yield from _cycle_messages(schema, names, successors, part_of_cycle_issue)
 
 
 @invariant(
     "instance-of-acyclic",
     "Section 3.1: the instance-of (version) graph is a DAG",
+    scoped=True,
 )
-def _check_instance_of_acyclic(schema, context):
-    yield from _rule_messages(check_instance_of_cycles, schema)
+def _check_instance_of_acyclic(schema, context, names=None):
+    successors = link_successors(schema, RelationshipKind.INSTANCE_OF)
+    yield from _cycle_messages(
+        schema, names, successors, instance_of_cycle_issue
+    )
 
 
 @invariant(
     "keys-resolve",
     "Table 2: key lists name attributes available on the type",
+    scoped=True,
 )
-def _check_keys_resolve(schema, context):
-    yield from _rule_messages(check_keys, schema)
+def _check_keys_resolve(schema, context, names=None):
+    yield from _rule_messages(key_issues, schema, names)
 
 
 @invariant(
     "order-by-resolve",
     "Table 3: order-by lists name attributes of the target type",
+    scoped=True,
 )
-def _check_order_by_resolve(schema, context):
-    yield from _rule_messages(check_order_by, schema)
+def _check_order_by_resolve(schema, context, names=None):
+    yield from _rule_messages(order_by_issues, schema, names)
 
 
 @invariant(
@@ -367,9 +401,15 @@ def _check_feedback_clean(schema, context):
     "incremental-vs-full-validation",
     "DESIGN 5d: the incremental validation cache returns byte-for-byte "
     "the full scan's issue list",
+    scoped=True,
 )
-def _check_incremental_validation(schema, context):
+def _check_incremental_validation(schema, context, names=None):
     incremental = schema.validation.validate()
+    if names is not None:
+        # The cache has folded its dirt (O(dirty)); recompute just the
+        # named interfaces' issue slots against the cached ones.
+        yield from schema.validation.recheck_interfaces(names)
+        return
     full = validate_schema(schema)
     if incremental == full:
         return
@@ -453,28 +493,67 @@ def _stride_sample(names: list[str], phase: int) -> list[str]:
     return names[phase % stride :: stride]
 
 
-def _sampled_type_names(schema) -> list[str]:
-    """All type names, or a deterministic stride sample at scale."""
-    return _stride_sample(schema.type_names(), schema.generation)
+def _sampled_type_names(
+    schema: Schema, names: list[str] | None = None
+) -> list[str]:
+    """*names* (every type when ``None``), or a deterministic stride
+    sample of them at scale."""
+    return _stride_sample(
+        schema.type_names() if names is None else names, schema.generation
+    )
+
+
+def _fold_edges(edges) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(source -> targets, target -> sources) of scanned link *edges*,
+    one entry per edge in edge order: what the per-name link queries
+    answer, so each probe is one dict lookup."""
+    forward: dict[str, list[str]] = {}
+    backward: dict[str, list[str]] = {}
+    for source, target, _ in edges:
+        forward.setdefault(source, []).append(target)
+        backward.setdefault(target, []).append(source)
+    return forward, backward
+
+
+def _scanned_subtypes(schema: Schema) -> dict[str, list[str]]:
+    """Name -> direct subtypes in declaration order, as ``scan_subtypes``
+    derives per call, built in one pass so a sweep costs O(types +
+    probes), not O(probes x types)."""
+    subtypes: dict[str, list[str]] = {}
+    for interface in schema:
+        for supertype in interface.supertypes:
+            subtypes.setdefault(supertype, []).append(interface.name)
+    return subtypes
 
 
 @invariant(
     "index-generalization-vs-scan",
     "DESIGN 5b: indexed ISA queries equal the full-scan reference "
     "(per-type probes sampled past the differential stride threshold)",
+    scoped=True,
 )
-def _check_index_generalization(schema, context):
-    for name in _sampled_type_names(schema):
+def _check_index_generalization(schema, context, names=None):
+    sample = _sampled_type_names(schema, names)
+    scanned_subtypes = _scanned_subtypes(schema) if sample else {}
+    for name in sample:
         indexed = schema.subtypes(name)
-        scanned = index_module.scan_subtypes(schema, name)
+        scanned = scanned_subtypes.get(name, [])
         if indexed != scanned:
             yield f"subtypes({name!r}): index {indexed!r} != scan {scanned!r}"
-        if schema.descendants(name) != index_module.scan_descendants(schema, name):
+        descendants: set[str] = set()
+        frontier = list(scanned)
+        while frontier:
+            current = frontier.pop()
+            if current not in descendants:
+                descendants.add(current)
+                frontier.extend(scanned_subtypes.get(current, ()))
+        if schema.descendants(name) != descendants:
             yield f"descendants({name!r}): index != scan"
         if schema.ancestors(name) != index_module.scan_ancestors(schema, name):
             yield f"ancestors({name!r}): index != scan"
-    if schema.generalization_roots() != index_module.scan_generalization_roots(
-        schema
+    if names is None and (
+        schema.generalization_roots()
+        != index_module.scan_generalization_roots(schema)
     ):
         yield "generalization_roots(): index != scan"
 
@@ -483,19 +562,25 @@ def _check_index_generalization(schema, context):
     "index-aggregation-vs-scan",
     "DESIGN 5b: indexed part-of queries equal the full-scan reference "
     "(per-type probes sampled past the differential stride threshold)",
+    scoped=True,
 )
-def _check_index_aggregation(schema, context):
-    scanned_edges = index_module.scan_link_edges(
-        schema, RelationshipKind.PART_OF
-    )
-    if schema.part_of_edges() != scanned_edges:
+def _check_index_aggregation(schema, context, names=None):
+    sample = _sampled_type_names(schema, names)
+    if names is not None and not sample:
+        return  # an empty closure probes nothing; skip the O(types) scan
+    edges = index_module.scan_link_edges(schema, RelationshipKind.PART_OF)
+    if names is None and schema.part_of_edges() != edges:
         yield "part_of_edges(): index != scan"
-    for name in _sampled_type_names(schema):
-        if schema.parts(name) != index_module.scan_parts(schema, name):
+    parts, wholes = _fold_edges(edges)
+    for name in sample:
+        if schema.parts(name) != parts.get(name, []):
             yield f"parts({name!r}): index != scan"
-        if schema.wholes(name) != index_module.scan_wholes(schema, name):
+        if schema.wholes(name) != wholes.get(name, []):
             yield f"wholes({name!r}): index != scan"
-    if schema.aggregation_roots() != index_module.scan_aggregation_roots(schema):
+    if names is None and (
+        schema.aggregation_roots()
+        != index_module.scan_aggregation_roots(schema)
+    ):
         yield "aggregation_roots(): index != scan"
 
 
@@ -505,23 +590,15 @@ def _check_index_aggregation(schema, context):
     "(per-type probes sampled past the differential stride threshold)",
 )
 def _check_index_instance_of(schema, context):
-    scanned_edges = index_module.scan_link_edges(
-        schema, RelationshipKind.INSTANCE_OF
-    )
-    if schema.instance_of_edges() != scanned_edges:
+    edges = index_module.scan_link_edges(schema, RelationshipKind.INSTANCE_OF)
+    if schema.instance_of_edges() != edges:
         yield "instance_of_edges(): index != scan"
-    # The per-name lookups the instance-of cycle family reads, against
-    # maps folded from the scanned edges (edge order preserved).
-    scanned_instances: dict[str, list[str]] = {}
-    scanned_generics: dict[str, list[str]] = {}
-    for generic, instance, _ in scanned_edges:
-        scanned_instances.setdefault(generic, []).append(instance)
-        scanned_generics.setdefault(instance, []).append(generic)
+    instances, generics = _fold_edges(edges)
     index = schema.index
     for name in _sampled_type_names(schema):
-        if index.instances_of(name) != scanned_instances.get(name, []):
+        if index.instances_of(name) != instances.get(name, []):
             yield f"instances_of({name!r}): index != scan"
-        if index.generics_of(name) != scanned_generics.get(name, []):
+        if index.generics_of(name) != generics.get(name, []):
             yield f"generics_of({name!r}): index != scan"
     if schema.instance_of_roots() != index_module.scan_instance_of_roots(schema):
         yield "instance_of_roots(): index != scan"
@@ -539,13 +616,66 @@ def _check_index_pairs(schema, context):
 
 
 @invariant(
-    "columnar-vs-dict-adjacency",
+    "columnar-vs-scan",
     "DESIGN 5i: the flat-array adjacency (ids, free list, parallel "
-    "columns) answers exactly as the retained dict reference spec",
+    "columns) is sound and exports exactly the maps a scan of the "
+    "interfaces derives",
+    scoped=True,
 )
-def _check_columnar_adjacency(schema, context):
-    reference = DictAdjacency(schema)
-    yield from adjacency_differential(schema.index.adjacency, reference)
+def _check_columnar(schema, context, names=None):
+    adjacency = schema.index.adjacency
+    if names is not None:
+        yield from _columnar_row_messages(schema, adjacency, names)
+        return
+    yield from adjacency.check_integrity()
+    parents, children, refs, referencers = index_module.scan_adjacency(schema)
+    pairs = (
+        ("isa_parents", adjacency.isa_parents_map(), parents),
+        ("isa_children", adjacency.isa_children_map(), children),
+        ("refs_of", adjacency.refs_of_map(), refs),
+        ("referencers", adjacency.referencers_map(), referencers),
+    )
+    for label, flat, spec in pairs:
+        if flat == spec:
+            continue
+        missing = sorted(set(spec) - set(flat))[:3]
+        spurious = sorted(set(flat) - set(spec))[:3]
+        differing = sorted(
+            key for key in set(flat) & set(spec) if flat[key] != spec[key]
+        )[:3]
+        yield (
+            f"{label}: columnar != scan (missing {missing!r}, spurious "
+            f"{spurious!r}, differing {differing!r})"
+        )
+
+
+def _columnar_row_messages(schema, adjacency, names) -> Iterator[str]:
+    """Row-level check of the named interfaces: their columns match
+    their live definitions, and each reverse-reference bucket they
+    point into holds them.  The whole-store comparison (plus free-list
+    and refcount integrity) is left to the final full sweep."""
+    for name in names:
+        interface = schema.interfaces.get(name)
+        if interface is None:
+            continue
+        parents = adjacency.parents_of(name)
+        if parents != tuple(interface.supertypes):
+            yield (
+                f"parents_of({name!r}): columns {parents!r} != declared "
+                f"{tuple(interface.supertypes)!r}"
+            )
+        refs = frozenset(interface.referenced_type_names())
+        if adjacency.refs_of(name) != refs:
+            yield (
+                f"refs_of({name!r}): columns {sorted(adjacency.refs_of(name))!r}"
+                f" != derived {sorted(refs)!r}"
+            )
+        for target in refs:
+            if name not in adjacency.referencers_of(target):
+                yield (
+                    f"referencers_of({target!r}) is missing the live "
+                    f"referencer {name!r}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -691,22 +821,37 @@ def _check_cow_vs_eager_copy(schema, context):
 # ----------------------------------------------------------------------
 
 
+def _subject(schema: Schema, names: Iterable[str] | None) -> Schema:
+    """*schema* itself, or a fresh schema holding copies of just *names*
+    in declaration order.  References leaving the slice dangle, which
+    the printer, parser, and mapper all accept -- dangling names are
+    legal schema states (DESIGN 5i)."""
+    if names is None:
+        return schema
+    sub = Schema(f"{schema.name}_closure")
+    for name in schema.index.in_declaration_order(names):
+        sub.add_interface(schema.interfaces[name].copy())
+    return sub
+
+
 @invariant(
     "odl-round-trip",
     "Section 3.1: printed extended ODL re-parses to the same schema",
     tier=TIER_EXPENSIVE,
+    scoped=True,
 )
-def _check_odl_round_trip(schema, context):
+def _check_odl_round_trip(schema, context, names=None):
     from repro.odl.parser import parse_schema
     from repro.odl.printer import print_schema
 
-    text = print_schema(schema)
+    subject = _subject(schema, names)
+    text = print_schema(subject)
     try:
-        parsed = parse_schema(text, name=schema.name)
+        parsed = parse_schema(text, name=subject.name)
     except Exception as error:  # noqa: BLE001 - any escape is the finding
         yield f"printed ODL does not re-parse: {error}"
         return
-    if not schemas_equal(schema, parsed):
+    if not schemas_equal(subject, parsed):
         yield "printer -> parser round trip changed the schema"
     elif print_schema(parsed) != text:
         yield "printer -> parser -> printer is not idempotent"
@@ -732,9 +877,11 @@ def _check_decomposition_union(schema, context):
     "Section 5: the mapping derives from name equivalence; a schema maps "
     "onto its copy with every construct unchanged",
     tier=TIER_EXPENSIVE,
+    scoped=True,
 )
-def _check_name_equivalence(schema, context):
-    mapping = generate_mapping(schema, schema.copy(f"{schema.name}_verify"))
+def _check_name_equivalence(schema, context, names=None):
+    subject = _subject(schema, names)
+    mapping = generate_mapping(subject, subject.copy(f"{subject.name}_verify"))
     if mapping.added() or mapping.deleted():
         yield (
             "self-mapping reports "
@@ -1104,247 +1251,4 @@ def _check_preview_isolation(workspace):
         yield (
             f"preview.ok is {preview.ok} but apply_plan on a fork "
             f"{'succeeds' if applies else 'fails'}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Scoped (O(changed)) variants -- DESIGN 5i
-#
-# Each verifies its invariant's clause restricted to the touched
-# closure, never walking the whole schema.  Invariants without a
-# scoped variant are deferred to the caller's final full sweep (the
-# fuzzer's ``final_check``); ALWAYS_FULL members run whole regardless.
-# ----------------------------------------------------------------------
-
-
-def _scoped_rule_messages(
-    rule, schema: Schema, names: Iterable[str]
-) -> Iterator[str]:
-    """Per-interface validation *rule* over just the scoped *names*."""
-    for name in names:
-        interface = schema.interfaces.get(name)
-        if interface is None:
-            continue
-        for issue in rule(schema, interface):
-            if issue.severity == SEVERITY_ERROR:
-                yield str(issue)
-
-
-@scoped_invariant("dangling-types")
-def _scoped_dangling(schema, context, scoped):
-    yield from _scoped_rule_messages(dangling_type_issues, schema, scoped)
-
-
-@scoped_invariant("inverse-pairing")
-def _scoped_inverse_pairing(schema, context, scoped):
-    yield from _scoped_rule_messages(inverse_issues, schema, scoped)
-
-
-@scoped_invariant("hierarchy-one-to-many")
-def _scoped_one_to_many(schema, context, scoped):
-    yield from _scoped_rule_messages(cardinality_issues, schema, scoped)
-
-
-@scoped_invariant("keys-resolve")
-def _scoped_keys_resolve(schema, context, scoped):
-    yield from _scoped_rule_messages(key_issues, schema, scoped)
-
-
-@scoped_invariant("order-by-resolve")
-def _scoped_order_by_resolve(schema, context, scoped):
-    yield from _scoped_rule_messages(order_by_issues, schema, scoped)
-
-
-def _local_link_successors(schema: Schema, kind: RelationshipKind):
-    """Per-name successor function of a link graph (whole -> part).
-
-    Derived from the owning interface directly so a scoped cycle check
-    never materializes the whole edge list the way
-    ``part_of_successors`` does.
-    """
-    interfaces = schema.interfaces
-
-    def successors(name: str):
-        interface = interfaces.get(name)
-        if interface is None:
-            return ()
-        return tuple(
-            end.target_type
-            for end in interface.relationships_of_kind(kind)
-            if end.is_to_many
-        )
-
-    return successors
-
-
-@scoped_invariant("isa-acyclic")
-def _scoped_isa_acyclic(schema, context, scoped):
-    # A mutation can only create a cycle passing through a touched
-    # node, and every cycle is reachable from each of its members --
-    # DFS seeded at the scoped names finds it.
-    cycle = _find_cycle(scoped, isa_successors(schema))
-    if cycle is not None:
-        yield str(isa_cycle_issue(cycle))
-
-
-@scoped_invariant("part-of-acyclic")
-def _scoped_part_of_acyclic(schema, context, scoped):
-    successors = _local_link_successors(schema, RelationshipKind.PART_OF)
-    cycle = _find_cycle(scoped, successors)
-    if cycle is not None:
-        yield str(part_of_cycle_issue(cycle))
-
-
-@scoped_invariant("instance-of-acyclic")
-def _scoped_instance_of_acyclic(schema, context, scoped):
-    successors = _local_link_successors(schema, RelationshipKind.INSTANCE_OF)
-    cycle = _find_cycle(scoped, successors)
-    if cycle is not None:
-        yield str(instance_of_cycle_issue(cycle))
-
-
-@scoped_invariant("index-generalization-vs-scan")
-def _scoped_index_generalization(schema, context, scoped):
-    # Per-name probes only; the whole-schema generalization_roots()
-    # comparison is deferred to the final full sweep.  The subtype scan
-    # is batched: one pass over the schema builds the same
-    # name -> direct-subtypes lists ``scan_subtypes`` derives per call
-    # (declaration order), so the sweep costs O(types + probes), not
-    # O(probes x types).
-    sample = _stride_sample(scoped, schema.generation)
-    if not sample:
-        return
-    scanned_subtypes: dict[str, list[str]] = {}
-    for interface in schema:
-        for supertype in interface.supertypes:
-            scanned_subtypes.setdefault(supertype, []).append(interface.name)
-
-    def scan_descendants(name: str) -> set[str]:
-        result: set[str] = set()
-        frontier = list(scanned_subtypes.get(name, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in result:
-                continue
-            result.add(current)
-            frontier.extend(scanned_subtypes.get(current, ()))
-        return result
-
-    for name in sample:
-        indexed = schema.subtypes(name)
-        scanned = scanned_subtypes.get(name, [])
-        if indexed != scanned:
-            yield f"subtypes({name!r}): index {indexed!r} != scan {scanned!r}"
-        if schema.descendants(name) != scan_descendants(name):
-            yield f"descendants({name!r}): index != scan"
-        if schema.ancestors(name) != index_module.scan_ancestors(schema, name):
-            yield f"ancestors({name!r}): index != scan"
-
-
-@scoped_invariant("index-aggregation-vs-scan")
-def _scoped_index_aggregation(schema, context, scoped):
-    # ``scan_parts`` / ``scan_wholes`` rebuild the full edge list per
-    # call; build it once and fold both directions, preserving edge
-    # order, so every probe is then a dict lookup.
-    sample = _stride_sample(scoped, schema.generation)
-    if not sample:
-        return
-    edges = index_module.scan_link_edges(schema, RelationshipKind.PART_OF)
-    scanned_parts: dict[str, list[str]] = {}
-    scanned_wholes: dict[str, list[str]] = {}
-    for whole, part, _ in edges:
-        scanned_parts.setdefault(whole, []).append(part)
-        scanned_wholes.setdefault(part, []).append(whole)
-    for name in sample:
-        if schema.parts(name) != scanned_parts.get(name, []):
-            yield f"parts({name!r}): index != scan"
-        if schema.wholes(name) != scanned_wholes.get(name, []):
-            yield f"wholes({name!r}): index != scan"
-
-
-@scoped_invariant("incremental-vs-full-validation")
-def _scoped_incremental_validation(schema, context, scoped):
-    # Fold the cache's dirty set (O(dirty)), then recompute just the
-    # scoped interfaces' issue slots against the cached ones.
-    schema.validation.validate()
-    yield from schema.validation.recheck_interfaces(scoped)
-
-
-@scoped_invariant("columnar-vs-dict-adjacency")
-def _scoped_columnar_adjacency(schema, context, scoped):
-    # Row-level differential: each touched interface's columns must
-    # match its live definition, and its reverse-reference buckets must
-    # contain it.  The whole-store differential (plus free-list and
-    # refcount integrity) runs in the final full sweep.
-    adjacency = schema.index.adjacency
-    for name in scoped:
-        interface = schema.interfaces.get(name)
-        if interface is None:
-            continue
-        parents = adjacency.parents_of(name)
-        if parents != tuple(interface.supertypes):
-            yield (
-                f"parents_of({name!r}): columns {parents!r} != declared "
-                f"{tuple(interface.supertypes)!r}"
-            )
-        refs = frozenset(interface.referenced_type_names())
-        if adjacency.refs_of(name) != refs:
-            yield (
-                f"refs_of({name!r}): columns {sorted(adjacency.refs_of(name))!r}"
-                f" != derived {sorted(refs)!r}"
-            )
-        for target in refs:
-            if name not in adjacency.referencers_of(target):
-                yield (
-                    f"referencers_of({target!r}) is missing the live "
-                    f"referencer {name!r}"
-                )
-
-
-def _sub_schema(schema: Schema, names: Iterable[str], suffix: str) -> Schema:
-    """A fresh schema holding copies of just *names*, in declaration
-    order.  References leaving the slice dangle, which the printer,
-    parser, and mapper all accept -- dangling names are legal schema
-    states (DESIGN 5i)."""
-    sub = Schema(f"{schema.name}_{suffix}")
-    for name in schema.index.in_declaration_order(names):
-        sub.add_interface(schema.interfaces[name].copy())
-    return sub
-
-
-@scoped_invariant("odl-round-trip")
-def _scoped_odl_round_trip(schema, context, scoped):
-    from repro.odl.parser import parse_schema
-    from repro.odl.printer import print_schema
-
-    sub = _sub_schema(schema, scoped, "odl_scoped")
-    text = print_schema(sub)
-    try:
-        parsed = parse_schema(text, name=sub.name)
-    except Exception as error:  # noqa: BLE001 - any escape is the finding
-        yield f"printed ODL of the touched closure does not re-parse: {error}"
-        return
-    if not schemas_equal(sub, parsed):
-        yield (
-            "printer -> parser round trip changed the touched closure "
-            "sub-schema"
-        )
-    elif print_schema(parsed) != text:
-        yield "printer -> parser -> printer is not idempotent on the closure"
-
-
-@scoped_invariant("name-equivalence-mapping")
-def _scoped_name_equivalence(schema, context, scoped):
-    sub = _sub_schema(schema, scoped, "map_scoped")
-    mapping = generate_mapping(sub, sub.copy(f"{sub.name}_verify"))
-    if mapping.added() or mapping.deleted():
-        yield (
-            "scoped self-mapping reports "
-            f"{len(mapping.added())} added / {len(mapping.deleted())} "
-            "deleted constructs"
-        )
-    if mapping.entries and mapping.reuse_ratio() != 1.0:
-        yield (
-            "scoped self-mapping reuse ratio is "
-            f"{mapping.reuse_ratio()}, not 1.0"
         )

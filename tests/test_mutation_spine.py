@@ -264,16 +264,6 @@ class TestStats:
         assert "index.rebuilds" in stats
         assert "validation.full" in stats
 
-    def test_legacy_aliases_match_namespaced(self, small):
-        small.validation.validate()
-        stats = small.stats()
-        assert stats["index_hits"] == stats["index.hits"]
-        assert stats["index_misses"] == stats["index.misses"]
-        assert stats["validation_full"] == stats["validation.full"]
-        assert stats["validation_incremental"] == stats[
-            "validation.incremental"
-        ]
-
     def test_insert_and_replace_key_error_paths(self, small):
         person = small.get("Person")
         with pytest.raises(UnknownPropertyError):

@@ -152,6 +152,26 @@ class TestTokenStream:
         with pytest.raises(OdlSyntaxError, match="unexpected character '@'"):
             stream.advance()
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("a@b", "unexpected character '@'", 2),
+            ("a @b", "unexpected character '@'", 3),
+            ("a/* x", "unterminated block comment", 2),
+            ("a /* x", "unterminated block comment", 3),
+        ],
+    )
+    def test_lexical_error_is_sticky(self, text, message, column):
+        stream = TokenStream(text)
+        raised = []
+        for call in (stream.advance, stream.advance, stream.peek):
+            with pytest.raises(OdlSyntaxError) as caught:
+                call()
+            raised.append(
+                (str(caught.value), caught.value.line, caught.value.column)
+            )
+        assert raised == [(f"{message} (line 1, column {column})", 1, column)] * 3
+
     def test_overlong_number_is_a_syntax_error(self):
         with pytest.raises(OdlSyntaxError, match="too long"):
             TokenStream("9" * 5000).expect_number()

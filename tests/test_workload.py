@@ -3,7 +3,9 @@
 from repro.knowledge.propagation import expand
 from repro.model.fingerprint import schema_fingerprint
 from repro.model.interface import InterfaceDef
+from repro.model.validation import validate_schema
 from repro.ops.base import OperationContext
+from repro.verify.runner import generated_subject, large_subject
 from repro.workload.generator import (
     WorkloadSpec,
     generate_operations,
@@ -17,7 +19,28 @@ class TestGenerateSchema:
         assert len(schema) == 25
 
     def test_schema_is_valid(self):
-        generate_schema(WorkloadSpec(types=40, seed=2)).validate()
+        # generate_schema promises validity by construction and does not
+        # check it; every shape the program generates is checked here.
+        schemas = [generate_schema(WorkloadSpec(types=40, seed=2))]
+        # The session benchmark's shape.
+        schemas += [
+            generate_schema(WorkloadSpec(
+                types=1_000, seed=seed, isa_fraction=0.45,
+                part_of_chain=min(100, 1_000 // 4),
+                instance_of_chain=min(50, 1_000 // 8),
+            ))
+            for seed in (1, 2, 3)
+        ]
+        # The fuzzer's large profile and synthetic subjects.
+        schemas.append(large_subject(0, 1_000).build())
+        schemas += [generated_subject(seed).build() for seed in range(20)]
+        schemas += [
+            generate_schema(WorkloadSpec(types=types, seed=seed))
+            for types in (1, 2)
+            for seed in range(4)
+        ]
+        for schema in schemas:
+            validate_schema(schema, raise_on_error=True)
 
     def test_deterministic(self):
         first = generate_schema(WorkloadSpec(types=15, seed=3))
