@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.concepts.base import ConceptKind, ConceptSchema, read_interface
 from repro.model.schema import Schema
 
 
@@ -106,7 +106,7 @@ def extract_aggregation_hierarchy(
     object types count as implicit aggregation edges too (the paper's
     type-constructor extension, see :func:`constructor_edges`).
     """
-    schema.get(root)  # raise early on unknown types
+    read_interface(schema, root)  # raise early on unknown types
     explicit = [
         (whole, part, end.name) for whole, part, end in schema.part_of_edges()
     ]

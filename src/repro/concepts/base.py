@@ -27,7 +27,25 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.model.errors import UnknownTypeError
+from repro.model.interface import InterfaceDef
 from repro.model.schema import Schema
+
+
+def read_interface(schema: Schema, name: str) -> InterfaceDef:
+    """*name*'s interface as *schema* holds it, shared or not.
+
+    Extraction only reads, so unlike ``Schema.get`` this never
+    materialises a copy-on-write share: concepts extracted from a fork
+    (the decomposition's snapshot) leave it sharing every interface.
+    Raises ``UnknownTypeError`` for an undefined name, as ``get`` does.
+    """
+    interface = schema.interfaces.get(name)
+    if interface is None:
+        raise UnknownTypeError(
+            f"schema {schema.name!r} does not define {name!r}"
+        )
+    return interface
 
 
 class ConceptKind(enum.Enum):

@@ -5,15 +5,16 @@ ODL into concept schemas" and "the union of all the initial concept
 schemas gives the original shrink wrap schema" (Section 3.3).  This
 module implements both directions:
 
-* :func:`decompose` extracts one wagon wheel per object type plus one
-  generalization / aggregation / instance-of hierarchy per root;
+* :func:`decompose` yields one wagon wheel per object type plus one
+  generalization / aggregation / instance-of hierarchy per root, each
+  extracted the first time it is asked for;
 * :func:`reconstruct` unions a decomposition back into a schema, and the
   round-trip is the identity (verified by property tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 
 from repro.concepts.aggregation import (
     AggregationHierarchy,
@@ -28,30 +29,156 @@ from repro.concepts.instance_of import (
     InstanceOfHierarchy,
     extract_all_instance_of_hierarchies,
 )
-from repro.concepts.wagon_wheel import WagonWheel, extract_all_wagon_wheels
+from repro.concepts.wagon_wheel import WagonWheel, extract_wagon_wheel
 from repro.model.errors import SchemaError
 from repro.model.interface import InterfaceDef
 from repro.model.schema import Schema
 
 
-@dataclass
-class Decomposition:
-    """The complete concept-schema view of one schema."""
+#: ``all_concepts()`` lists the families in this order.
+_RANK = {kind: rank for rank, kind in enumerate(ConceptKind)}
+_FAMILIES = (
+    WagonWheel,
+    GeneralizationHierarchy,
+    AggregationHierarchy,
+    InstanceOfHierarchy,
+)
 
-    schema_name: str
-    wagon_wheels: list[WagonWheel] = field(default_factory=list)
-    generalizations: list[GeneralizationHierarchy] = field(default_factory=list)
-    aggregations: list[AggregationHierarchy] = field(default_factory=list)
-    instance_ofs: list[InstanceOfHierarchy] = field(default_factory=list)
+
+class Decomposition:
+    """The complete concept-schema view of one schema, extracted on demand.
+
+    Built by :func:`decompose` over a copy-on-write snapshot of the
+    schema.  A wagon wheel is extracted the first time it is asked for
+    and cached; the three hierarchy families are extracted together on
+    first need.  :meth:`all_concepts`, :meth:`of_kind`, :meth:`summary`
+    and the four family lists force every concept; the point lookups,
+    :meth:`by_identifier` and :meth:`concepts_covering`, extract only
+    the wheels they can return (and the hierarchies, when they need
+    one).
+    """
+
+    def __init__(self, snapshot: Schema) -> None:
+        #: Owned by the decomposition: nothing may mutate it.  When the
+        #: decomposition dies the snapshot leaves its sources' spines at
+        #: once, not at the next cycle collection, so a dead snapshot
+        #: is never handed copies (a wheel it gave out holds its own
+        #: claim on its interface).
+        self._snapshot = snapshot
+        weakref.finalize(self, snapshot.release_cow)
+        self.schema_name = snapshot.name
+        self._wheels: dict[str, WagonWheel] = {}
+        #: Concepts registered by :meth:`add_concept`, in order.
+        self._added: dict[str, ConceptSchema] = {}
+        #: The initial hierarchies once extracted, in family order ...
+        self._hierarchies: dict[str, ConceptSchema] | None = None
+        #: ... and, per member type, those that cover it.
+        self._hierarchy_cover: dict[str, list[ConceptSchema]] = {}
+
+    # ------------------------------------------------------------------
+    # Extraction on demand
+    # ------------------------------------------------------------------
+
+    def _wheel(self, focal: str) -> WagonWheel:
+        wheel = self._wheels.get(focal)
+        if wheel is None:
+            wheel = extract_wagon_wheel(self._snapshot, focal)
+            self._wheels[focal] = wheel
+        return wheel
+
+    def _initial_hierarchies(self) -> dict[str, ConceptSchema]:
+        if self._hierarchies is None:
+            snapshot = self._snapshot
+            hierarchies: list[ConceptSchema] = [
+                *extract_all_generalization_hierarchies(snapshot),
+                *extract_all_aggregation_hierarchies(snapshot),
+                *extract_all_instance_of_hierarchies(snapshot),
+            ]
+            for hierarchy in hierarchies:
+                for member in hierarchy.members:
+                    self._hierarchy_cover.setdefault(member, []).append(
+                        hierarchy
+                    )
+            self._hierarchies = {h.identifier: h for h in hierarchies}
+        return self._hierarchies
+
+    def _initial(self, identifier: str) -> ConceptSchema | None:
+        """The initial concept called *identifier*, or ``None``.
+
+        Initial concepts carry no view name, and an initial wheel is
+        ``ww:`` plus a type of the snapshot; only a hierarchy
+        identifier needs the hierarchies.
+        """
+        prefix, _, anchor = identifier.partition(":")
+        if "#" in anchor:
+            return None
+        if prefix == "ww":
+            if anchor in self._snapshot.interfaces:
+                return self._wheel(anchor)
+            return None
+        return self._initial_hierarchies().get(identifier)
+
+    # ------------------------------------------------------------------
+    # The full view
+    # ------------------------------------------------------------------
 
     def all_concepts(self) -> list[ConceptSchema]:
-        """Every concept schema, wagon wheels first."""
-        return [
-            *self.wagon_wheels,
-            *self.generalizations,
-            *self.aggregations,
-            *self.instance_ofs,
+        """Every concept schema: the wagon wheels (one per type in
+        declaration order, then the added ones), then each hierarchy
+        family in turn, initial before added."""
+        concepts = [
+            *map(self._wheel, self._snapshot.interfaces),
+            *self._initial_hierarchies().values(),
+            *self._added.values(),
         ]
+        concepts.sort(key=lambda concept: _RANK[concept.kind])
+        return concepts
+
+    def of_kind(self, kind: ConceptKind) -> list[ConceptSchema]:
+        """All concept schemas of one kind."""
+        return [c for c in self.all_concepts() if c.kind is kind]
+
+    @property
+    def wagon_wheels(self) -> list[ConceptSchema]:
+        """One wheel per type in declaration order, then the added ones."""
+        return self.of_kind(ConceptKind.WAGON_WHEEL)
+
+    @property
+    def generalizations(self) -> list[ConceptSchema]:
+        """One hierarchy per generalization root, then the added ones."""
+        return self.of_kind(ConceptKind.GENERALIZATION)
+
+    @property
+    def aggregations(self) -> list[ConceptSchema]:
+        """One hierarchy per aggregation root, then the added ones."""
+        return self.of_kind(ConceptKind.AGGREGATION)
+
+    @property
+    def instance_ofs(self) -> list[ConceptSchema]:
+        """One hierarchy per instance-of root, then the added ones."""
+        return self.of_kind(ConceptKind.INSTANCE_OF)
+
+    def count(self) -> int:
+        """How many concept schemas :meth:`all_concepts` lists, counted
+        from the snapshot's roots without extracting any."""
+        snapshot = self._snapshot
+        return (
+            len(snapshot)
+            + len(snapshot.generalization_roots())
+            + len(snapshot.aggregation_roots())
+            + len(snapshot.instance_of_roots())
+            + len(self._added)
+        )
+
+    def summary(self) -> str:
+        """Multi-line listing of every concept schema."""
+        lines = [f"decomposition of {self.schema_name}:"]
+        lines.extend("  " + c.describe() for c in self.all_concepts())
+        return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # Point lookups
+    # ------------------------------------------------------------------
 
     def add_concept(self, concept: ConceptSchema) -> None:
         """Register an additional concept schema (e.g. a wagon wheel view).
@@ -62,40 +189,27 @@ class Decomposition:
             raise SchemaError(
                 f"not a concept schema: {type(concept).__name__!r}"
             )
-        existing = {c.identifier for c in self.all_concepts()}
-        if concept.identifier in existing:
-            raise SchemaError(
-                f"decomposition already has a concept schema "
-                f"{concept.identifier!r}"
-            )
-        from repro.concepts.wagon_wheel import WagonWheel
-
-        if isinstance(concept, WagonWheel):
-            self.wagon_wheels.append(concept)
-        elif isinstance(concept, GeneralizationHierarchy):
-            self.generalizations.append(concept)
-        elif isinstance(concept, AggregationHierarchy):
-            self.aggregations.append(concept)
-        elif isinstance(concept, InstanceOfHierarchy):
-            self.instance_ofs.append(concept)
-        else:
+        if not isinstance(concept, _FAMILIES):
             raise SchemaError(
                 f"unknown concept schema type {type(concept).__name__!r}"
             )
+        identifier = concept.identifier
+        if identifier in self._added or self._initial(identifier):
+            raise SchemaError(
+                f"decomposition already has a concept schema "
+                f"{identifier!r}"
+            )
+        self._added[identifier] = concept
 
     def by_identifier(self, identifier: str) -> ConceptSchema:
         """Look a concept schema up by its ``ww:Type``-style identifier."""
-        for concept in self.all_concepts():
-            if concept.identifier == identifier:
-                return concept
-        raise SchemaError(
-            f"decomposition of {self.schema_name!r} has no concept schema "
-            f"{identifier!r}"
-        )
-
-    def of_kind(self, kind: ConceptKind) -> list[ConceptSchema]:
-        """All concept schemas of one kind."""
-        return [c for c in self.all_concepts() if c.kind is kind]
+        concept = self._added.get(identifier) or self._initial(identifier)
+        if concept is None:
+            raise SchemaError(
+                f"decomposition of {self.schema_name!r} has no concept "
+                f"schema {identifier!r}"
+            )
+        return concept
 
     def concepts_covering(self, type_name: str) -> list[ConceptSchema]:
         """Every concept schema in which *type_name* participates.
@@ -103,30 +217,43 @@ class Decomposition:
         The knowledge component uses this to warn the designer about
         interactions: a change made through one concept schema touches a
         type that other concept schemas also present.
-        """
-        return [c for c in self.all_concepts() if c.covers_type(type_name)]
 
-    def summary(self) -> str:
-        """Multi-line listing of every concept schema."""
-        lines = [f"decomposition of {self.schema_name}:"]
-        lines.extend("  " + c.describe() for c in self.all_concepts())
-        return "\n".join(lines)
+        A wheel's members are its focal type, the types it references
+        and its direct subtypes, so only the wheels of *type_name*, of
+        its referencers and of its declared supertypes can hold it;
+        those are extracted and filtered, and the result comes in
+        :meth:`all_concepts` order.
+        """
+        snapshot = self._snapshot
+        interfaces = snapshot.interfaces
+        candidates = {type_name, *snapshot.index.referencers_of(type_name)}
+        if type_name in interfaces:
+            candidates.update(interfaces[type_name].supertypes)
+        wheels = map(
+            self._wheel,
+            snapshot.index.in_declaration_order(candidates & interfaces.keys()),
+        )
+        self._initial_hierarchies()
+        covering = [
+            *(wheel for wheel in wheels if wheel.covers_type(type_name)),
+            *self._hierarchy_cover.get(type_name, ()),
+            *(c for c in self._added.values() if c.covers_type(type_name)),
+        ]
+        covering.sort(key=lambda concept: _RANK[concept.kind])
+        return covering
 
 
 def decompose(schema: Schema) -> Decomposition:
-    """Extract the initial concept schemas of *schema*.
+    """Decompose *schema* into its initial concept schemas, on demand.
 
     One wagon wheel per object type guarantees full coverage; hierarchy
     concept schemas add the integrated generalization / aggregation /
-    instance-of points of view wherever those structures exist.
+    instance-of points of view wherever those structures exist.  The
+    decomposition keeps a copy-on-write fork of *schema* (O(types)
+    pointer work) and extracts each concept the first time it is
+    needed, so a later mutation of *schema* never reaches it.
     """
-    return Decomposition(
-        schema_name=schema.name,
-        wagon_wheels=extract_all_wagon_wheels(schema),
-        generalizations=extract_all_generalization_hierarchies(schema),
-        aggregations=extract_all_aggregation_hierarchies(schema),
-        instance_ofs=extract_all_instance_of_hierarchies(schema),
-    )
+    return Decomposition(schema.fork())
 
 
 def reconstruct(decomposition: Decomposition, name: str | None = None) -> Schema:

@@ -101,7 +101,7 @@ def extract_generalization_hierarchy(
     edges = tuple(
         IsaEdge(name, supertype)
         for name in schema.index.in_declaration_order(members)
-        for supertype in schema.get(name).supertypes
+        for supertype in schema.interfaces[name].supertypes
         if supertype in members
     )
     return GeneralizationHierarchy(

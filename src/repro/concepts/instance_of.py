@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.concepts.base import ConceptKind, ConceptSchema, read_interface
 from repro.model.schema import Schema
 
 
@@ -85,7 +85,7 @@ def extract_instance_of_hierarchy(
     schema: Schema, root: str
 ) -> InstanceOfHierarchy:
     """Extract the instance-of hierarchy rooted at *root*."""
-    schema.get(root)  # raise early on unknown types
+    read_interface(schema, root)  # raise early on unknown types
     members = {root}
     frontier = [root]
     edges: list[InstanceEdge] = []

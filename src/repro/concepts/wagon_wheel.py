@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.concepts.base import ConceptKind, ConceptSchema, read_interface
 from repro.model.errors import SchemaError
 from repro.model.interface import InterfaceDef, _SnapshotClaim
 from repro.model.relationships import RelationshipKind
@@ -80,7 +80,7 @@ def extract_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
     inverse declarations that pair each relationship's two ends, so the
     wheel is the same whichever end declares the path.
     """
-    interface = schema.get(focal)
+    interface = read_interface(schema, focal)
     spokes = tuple(
         Spoke(end.name, end.target_type, end.kind, end.is_to_many)
         for end in interface.relationships.values()

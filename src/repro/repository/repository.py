@@ -29,8 +29,8 @@ class SchemaRepository:
 
     The life cycle mirrors Figure 1:
 
-    1. construct from the shrink wrap schema (concept schemas are
-       generated immediately);
+    1. construct from the shrink wrap schema (its concept schemas are
+       generated from a snapshot of it, each when first asked for);
     2. customize through :meth:`apply` / :meth:`undo` against the
        workspace, one concept schema at a time;
     3. :meth:`generate_custom_schema` freezes the workspace into the
@@ -213,7 +213,7 @@ class SchemaRepository:
         stats = self.workspace.schema.stats()
         return (
             f"repository for {self.shrink_wrap.name!r}: "
-            f"{len(self.decomposition.all_concepts())} concept schemas, "
+            f"{self.decomposition.count()} concept schemas, "
             f"{len(self.workspace.log)} customization step(s), workspace "
             f"has {stats['interfaces']} interfaces / "
             f"{stats['attributes']} attributes / "

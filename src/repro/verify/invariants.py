@@ -136,15 +136,40 @@ def touched_closure(schema: Schema, touched: Iterable[str]) -> list[str]:
     end), filtered to currently-defined interfaces and sorted for
     deterministic reporting.  Cost is O(closure), served by the
     columnar adjacency -- never O(schema).
+
+    The sweep checks the ISA children rows, so its scope must not rest
+    on them alone: each frontier type's children are the union of its
+    row and of its referencers whose declared ``supertypes`` name it
+    (:func:`_declared_children`).  A child dropped from a row behind
+    the spine stays in the closure, and the row check reports it.
     """
     adjacency = schema.index.adjacency
     adjacency.ensure_fresh()
     seeds = set(touched)
     closure = set(seeds)
-    closure |= adjacency.descendants_closure(seeds)
+    frontier = list(seeds)
+    while frontier:
+        name = frontier.pop()
+        children = set(adjacency.children_of(name))
+        children |= _declared_children(schema, adjacency, name)
+        for child in children - closure:
+            closure.add(child)
+            frontier.append(child)
     for name in seeds:
         closure.update(adjacency.referencers_of(name))
     return sorted(name for name in closure if name in schema.interfaces)
+
+
+def _declared_children(schema: Schema, adjacency, name: str) -> set[str]:
+    """Referencers of *name* whose declared supertypes list it: its
+    direct subtypes read from the interfaces, not from the ISA rows."""
+    interfaces = schema.interfaces
+    return {
+        referencer
+        for referencer in adjacency.referencers_of(name)
+        if referencer in interfaces
+        and name in interfaces[referencer].supertypes
+    }
 
 
 def invariant(
@@ -651,9 +676,11 @@ def _check_columnar(schema, context, names=None):
 
 def _columnar_row_messages(schema, adjacency, names) -> Iterator[str]:
     """Row-level check of the named interfaces: their columns match
-    their live definitions, and each reverse-reference bucket they
-    point into holds them.  The whole-store comparison (plus free-list
-    and refcount integrity) is left to the final full sweep."""
+    their live definitions, their children rows hold exactly the
+    referencers declaring them as a supertype, and each
+    reverse-reference bucket they point into holds them.  The
+    whole-store comparison (plus free-list and refcount integrity) is
+    left to the final full sweep."""
     for name in names:
         interface = schema.interfaces.get(name)
         if interface is None:
@@ -663,6 +690,13 @@ def _columnar_row_messages(schema, adjacency, names) -> Iterator[str]:
             yield (
                 f"parents_of({name!r}): columns {parents!r} != declared "
                 f"{tuple(interface.supertypes)!r}"
+            )
+        children = set(adjacency.children_of(name))
+        declared = _declared_children(schema, adjacency, name)
+        if children != declared:
+            yield (
+                f"children_of({name!r}): columns {sorted(children)!r} != "
+                f"declared {sorted(declared)!r}"
             )
         refs = frozenset(interface.referenced_type_names())
         if adjacency.refs_of(name) != refs:

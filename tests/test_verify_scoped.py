@@ -252,17 +252,27 @@ class TestColumnarCorruption:
         scoped = check_schema(schema, names=wanted, touched=touched)
         return len(full), len(scoped)
 
-    def test_extra_isa_child_fails_the_full_sweep(self):
+    def test_extra_isa_child_fails_both_sweeps(self):
         schema = load("university")
         adjacency, id_of = self._store(schema)
         adjacency._children[id_of("Person")].append(id_of("Book"))
-        assert self._counts(schema, {"Person"}) == (1, 0)
+        assert self._counts(schema, {"Person"}) == (1, 1)
 
-    def test_missing_isa_child_fails_the_full_sweep(self):
+    def test_missing_isa_child_fails_both_sweeps(self):
         schema = load("university")
         adjacency, id_of = self._store(schema)
         adjacency._children[id_of("Person")].remove(id_of("Student"))
-        assert self._counts(schema, {"Person"}) == (1, 0)
+        assert self._counts(schema, {"Person"}) == (1, 1)
+
+    def test_closure_keeps_a_child_dropped_from_its_row(self):
+        """The scope of a scoped sweep comes from the declared
+        supertypes too, not only from the rows it is checking."""
+        schema = load("university")
+        adjacency, id_of = self._store(schema)
+        sound = touched_closure(schema, {"Person"})
+        assert len(sound) == 9
+        adjacency._children[id_of("Person")].remove(id_of("Student"))
+        assert touched_closure(schema, {"Person"}) == sound
 
     def test_cleared_parents_row_fails_both_sweeps(self):
         schema = load("university")
