@@ -80,6 +80,18 @@ def extract_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
     inverse declarations that pair each relationship's two ends, so the
     wheel is the same whichever end declares the path.
     """
+    # The wheel shares the live interface copy-on-write: a snapshot
+    # claim swaps in a private copy the moment the schema mutates the
+    # focal type, so extracting all N wheels costs no interface copies.
+    wheel = _share_wagon_wheel(schema, focal)
+    claim = _SnapshotClaim(wheel, "focal_interface")
+    wheel.focal_interface.register_claim(claim)
+    return wheel
+
+
+def _share_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
+    """The wagon wheel on *focal* holding the live focal interface, with
+    no claim on it: the caller either claims it or copies it at once."""
     interface = read_interface(schema, focal)
     spokes = tuple(
         Spoke(end.name, end.target_type, end.kind, end.is_to_many)
@@ -93,10 +105,7 @@ def extract_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
     )
     members.update(supertype_rim)
     members.update(subtype_rim)
-    # The wheel shares the live interface copy-on-write: a snapshot
-    # claim swaps in a private copy the moment the schema mutates the
-    # focal type, so extracting all N wheels costs no interface copies.
-    wheel = WagonWheel(
+    return WagonWheel(
         anchor=focal,
         members=frozenset(members),
         focal_interface=interface,
@@ -104,8 +113,6 @@ def extract_wagon_wheel(schema: Schema, focal: str) -> WagonWheel:
         supertype_rim=supertype_rim,
         subtype_rim=subtype_rim,
     )
-    interface.register_claim(_SnapshotClaim(wheel, "focal_interface"))
-    return wheel
 
 
 def extract_wagon_wheel_view(
@@ -124,11 +131,10 @@ def extract_wagon_wheel_view(
     """
     if not view_name:
         raise SchemaError("a wagon wheel view needs a non-empty name")
-    full = extract_wagon_wheel(schema, focal)
-    assert full.focal_interface is not None
-    # The full wheel shares the live schema interface; the view narrows
-    # it destructively below, so it must work on a private copy (the
-    # copy is spineless and claim-free -- mutating it emits nowhere).
+    full = _share_wagon_wheel(schema, focal)
+    # The full wheel shares the live schema interface unclaimed; the view
+    # narrows it destructively below, so it must work on a private copy
+    # (the copy is spineless and claim-free -- mutating it emits nowhere).
     interface = full.focal_interface.copy()
     if spoke_paths is not None:
         unknown = set(spoke_paths) - set(interface.relationships)

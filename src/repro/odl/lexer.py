@@ -21,6 +21,11 @@ and draining every position stays linear.
 :class:`TokenStream` scans lazily, so a lexical error surfaces when the
 parser reaches it (with the same message and position :func:`tokenize`
 reports) and the full token list is never materialised.
+
+The module also assembles, from the scanner's own sub-patterns, the
+declaration patterns :func:`repro.odl.parser.parse_schema` matches a
+whole interface header or member declaration with (see the section at
+the end).
 """
 
 from __future__ import annotations
@@ -58,16 +63,25 @@ _WORD = "WORD"
 #: Group name of the final empty alternative: scanning stops there.
 _STOP = "STOP"
 
-#: Skipped text (blanks and comments), then exactly one alternative.  The
-#: groups are named after the token types, so ``lastgroup`` is the type.
-#: The empty ``STOP`` alternative always matches, at a bad character, an
+#: The scanner's sub-patterns, shared with the declaration patterns below:
+#: a blank, a ``//`` or ``/* */`` comment, an ASCII-started identifier,
+#: punctuation and a number.
+_BLANK = r"[ \t\r\n]"
+_COMMENT = r"//[^\n]*|/\*.*?\*/"
+_IDENT = r"[A-Za-z_]\w*"
+_PUNCT = "|".join(map(re.escape, _PUNCTUATION))
+_NUMBER = r"\d+"
+
+#: Skipped text, then exactly one alternative.  The groups are named
+#: after the token types, so ``lastgroup`` is the type.  The empty
+#: ``STOP`` alternative always matches, at a bad character, an
 #: unterminated ``/*`` (which is not skipped) or the end of the text.
 _SCAN = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    rf"(?:{_BLANK}+|{_COMMENT})*"
     r"(?:"
-    rf"(?P<{IDENT}>[A-Za-z_]\w*)"
-    rf"|(?P<{PUNCT}>{'|'.join(map(re.escape, _PUNCTUATION))})"
-    rf"|(?P<{NUMBER}>\d+)"
+    rf"(?P<{IDENT}>{_IDENT})"
+    rf"|(?P<{PUNCT}>{_PUNCT})"
+    rf"|(?P<{NUMBER}>{_NUMBER})"
     rf"|(?P<{_WORD}>[^\W\d]\w*)"
     rf"|(?P<{_STOP}>)"
     r")",
@@ -103,6 +117,9 @@ def tokenize(text: str) -> Iterator[Token]:
 class TokenStream:
     """Cursor over the tokens of a text with the lookahead the parsers need.
 
+    Scanning starts at offset *start* (default: the beginning); line
+    and column are still counted from the beginning of the text.
+
     The current token lives in three plain attributes the parsers read
     directly: ``kind`` (``IDENT``, ``NUMBER``, ``PUNCT`` or ``END``),
     ``value`` and ``start``, its offset in the text.  The consuming
@@ -122,9 +139,9 @@ class TokenStream:
         "_counted", "_line", "_line_start",
     )
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, start: int = 0) -> None:
         self._text = text
-        self._next = _SCAN.finditer(text).__next__
+        self._next = _SCAN.finditer(text, start).__next__
         #: ``(kind, value, start)`` of the tokens after the current one
         #: already scanned by the lookahead.
         self._ahead: list[tuple[str, str, int]] = []
@@ -282,3 +299,200 @@ class TokenStream:
         (default: the current token)."""
         line, column = self._position(self.start if start is None else start)
         return OdlSyntaxError(message, line, column)
+
+
+# ----------------------------------------------------------------------
+# Declaration patterns
+#
+# The parser matches a whole interface header or member declaration with
+# one of these and builds it from the groups.  They are assembled from
+# the scanner's sub-patterns, so a matched declaration is exactly the
+# token sequence the scanner would produce: identifiers and numbers are
+# never cut short, keywords are whole identifiers, and every optional or
+# repeated part is taken whenever it is there, as the token path's
+# ``accept_*`` calls take it.  Anything they do not match (deeper
+# nesting, a non-ASCII identifier, malformed text) is left to the
+# token-level recursive descent, the only source of syntax errors.
+# ----------------------------------------------------------------------
+
+#: Skipped text between two tokens: the same text the scanner skips, but
+#: every repeat is possessive and each comment atomic.  The scanner's
+#: ``(?:...)*`` reused as is tries every way to split a run of blanks
+#: between repetitions once the rest of a pattern fails, which is
+#: exponential in the length of the run.
+_SKIP = rf"{_BLANK}*+(?:(?>{_COMMENT}){_BLANK}*+)*+"
+_NAME = rf"(?>{_IDENT})"
+#: A size: a number of at most nine digits.  A longer one (which ``int``
+#: may refuse) is left to the token path.
+_SIZE = r"(?>\d{1,9})"
+#: The end of a matched declaration: skipped text, then a token that
+#: scans or the end of the text.  The token path scans that token before
+#: it builds the declaration's last model objects, so a declaration
+#: followed by a lexical error is left to it.
+_FOLLOWED = rf"{_SKIP}(?={_IDENT}|{_PUNCT}|{_NUMBER}|\Z)"
+
+
+def _keyword(word: str) -> str:
+    """*word* (a regular expression) as a whole identifier."""
+    return rf"(?:{word})(?!\w)"
+
+
+def _group(name: str | None, pattern: str) -> str:
+    if name is None:
+        return rf"(?:{pattern})"
+    return rf"(?P<{name}>{pattern})"
+
+
+def _tokens(*parts: str) -> str:
+    """*parts* in order, with skipped text allowed between them."""
+    return _SKIP.join(parts)
+
+
+def _optional(*parts: str) -> str:
+    """*parts* after skipped text, taken whenever they match."""
+    return rf"(?:{_SKIP}{_tokens(*parts)})?+"
+
+
+def _repeated(*parts: str) -> str:
+    """*parts* after skipped text, as often as they match."""
+    return rf"(?:{_SKIP}{_tokens(*parts)})*+"
+
+
+#: ``ident_list``: one or more identifiers separated by commas.
+_NAMES = _NAME + _repeated(",", _NAME)
+
+
+def _type(name: str | None = None) -> str:
+    """A type whose collection nesting is at most one level: a word, then
+    either ``< word [( size )] [, size] >`` or ``( size )``.  Which words
+    may take which part is left to the parser; the groups are *name*
+    (the word), ``*_element``, ``*_element_size``, ``*_bound`` and
+    ``*_size``, or none when *name* is ``None``."""
+
+    def part(suffix: str, pattern: str) -> str:
+        return _group(name and name + suffix, pattern)
+
+    collection = _tokens(
+        "<",
+        part("_element", _NAME)
+        + _optional(r"\(", part("_element_size", _SIZE), r"\)")
+        + _optional(",", part("_bound", _SIZE)),
+        ">",
+    )
+    sized = _tokens(r"\(", part("_size", _SIZE), r"\)")
+    return part("", _NAME) + rf"(?:{_SKIP}(?:{collection}|{sized}))?+"
+
+
+_KEY_SPEC = "(?:" + _tokens(r"\(", _NAMES, r"\)") + "|" + _NAME + ")"
+_PARAMETER = _tokens(_keyword("inout|in|out"), _type(), _NAME)
+#: The words a member declaration other than an operation starts with.
+_MEMBER_KEYWORDS = "extent|keys?|attribute|relationship|part_of|instance_of"
+
+#: ``interface Name [: Super, ...] {``; groups ``interface_name`` and
+#: ``supertypes``.
+HEADER = re.compile(
+    _tokens(_keyword("interface"), _group("interface_name", _NAME))
+    + _optional(":", _group("supertypes", _NAMES))
+    + _SKIP
+    + r"\{"
+    + _FOLLOWED,
+    re.DOTALL,
+)
+
+#: One member declaration.  ``lastgroup`` names its kind: ``extent``,
+#: ``keys``, ``attribute``, ``relationship`` or ``operation``.
+MEMBER = re.compile(
+    "(?:"
+    + _group(
+        "attribute",
+        _tokens(
+            _keyword("attribute"),
+            _type("attribute_type"),
+            _group("attribute_name", _NAME),
+            ";",
+        ),
+    )
+    + "|"
+    + _group(
+        "relationship",
+        "(?:"
+        + _group("relationship_kind", _keyword("part_of|instance_of"))
+        + _SKIP
+        + ")?+"
+        + _tokens(
+            _keyword("relationship"),
+            _type("target"),
+            _group("path", _NAME),
+            _keyword("inverse"),
+            _group("inverse_type", _NAME),
+            "::",
+            _group("inverse_path", _NAME),
+        )
+        + _optional(
+            _keyword("order_by"), r"\(", _group("order_by", _NAMES), r"\)"
+        )
+        + _SKIP
+        + ";",
+    )
+    + "|"
+    + _group(
+        "extent",
+        _tokens(_keyword("extent"), _group("extent_name", _NAME), ";"),
+    )
+    + "|"
+    + _group(
+        "keys",
+        _tokens(
+            _keyword("keys?"),
+            _group("key_specs", _KEY_SPEC + _repeated(",", _KEY_SPEC)),
+            ";",
+        ),
+    )
+    + "|"
+    + _group(
+        "operation",
+        rf"(?!{_keyword(_MEMBER_KEYWORDS)})"
+        + _tokens(_type("returns"), _group("operation_name", _NAME), r"\(")
+        + _optional(
+            _group("parameters", _PARAMETER + _repeated(",", _PARAMETER))
+        )
+        + _SKIP
+        + r"\)"
+        + _optional(_keyword("raises"), r"\(", _group("raises", _NAMES), r"\)")
+        + _SKIP
+        + ";",
+    )
+    + ")"
+    + _FOLLOWED,
+    re.DOTALL,
+)
+
+#: ``} [;]`` closing an interface.
+CLOSE = re.compile(r"\}" + _optional(";") + _FOLLOWED, re.DOTALL)
+
+#: ``findall`` over a matched list yields its items in order, each item
+#: as its groups in order: the names of an ``ident_list``; the key specs
+#: of a keys declaration (an ``ident_list`` or a name); the parameters
+#: of an operation (the direction, the five type groups, the name).
+#: (``finditer`` would leave a fresh ``"search"`` string per call in the
+#: interpreter's type attribute cache.)
+_ITEM = _tokens("", ",?", "")
+NAME_ITEM = re.compile(_ITEM + rf"({_NAME})", re.DOTALL)
+KEY_ITEM = re.compile(
+    _ITEM
+    + "(?:"
+    + _tokens(r"\(", _group("key_names", _NAMES), r"\)")
+    + "|"
+    + _group("key_name", _NAME)
+    + ")",
+    re.DOTALL,
+)
+PARAMETER = re.compile(
+    _ITEM
+    + _tokens(
+        _group("direction", _keyword("inout|in|out")),
+        _type("parameter_type"),
+        _group("parameter_name", _NAME),
+    ),
+    re.DOTALL,
+)

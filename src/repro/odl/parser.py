@@ -27,11 +27,24 @@ Grammar (EBNF)::
     collection      = ( "set" | "list" | "bag" | "array" )
                       "<" type [ "," NUMBER ] ">" ;
     sized_scalar    = SCALAR_NAME [ "(" NUMBER ")" ] ;
+
+:func:`parse_schema` and :func:`parse_interface` go a declaration at a
+time: each interface header, member declaration and closing brace is
+one match of a pattern from :mod:`repro.odl.lexer`, built from the
+groups through the same constructors and ``add_*`` calls, in the same
+order, as the token path.  Whatever no pattern matches (deeper
+collection nesting, a non-ASCII identifier, malformed text), and a
+match the token path would reject (a size on a non-scalar name), goes
+to the token-level recursive descent from that offset: the reference
+for the grammar and the only source of syntax errors, so a parse fails
+with the same exception, at the same line and column, either way.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
+from sys import intern
 
 from repro.model.attributes import Attribute
 from repro.model.interface import InterfaceDef
@@ -46,12 +59,25 @@ from repro.model.types import (
     ScalarType,
     TypeRef,
 )
-from repro.odl.lexer import IDENT, TokenStream
+from repro.odl.lexer import (
+    CLOSE,
+    HEADER,
+    IDENT,
+    KEY_ITEM,
+    MEMBER,
+    NAME_ITEM,
+    PARAMETER,
+    TokenStream,
+)
 
 _RELATIONSHIP_KEYWORDS = {
     "part_of": RelationshipKind.PART_OF,
     "instance_of": RelationshipKind.INSTANCE_OF,
 }
+
+#: Whether an interface definition starts at a token's offset: the token
+#: path's ``at_ident("interface")``.
+_AT_INTERFACE = re.compile(r"interface(?!\w)").match
 
 #: Deepest collection nesting a type may have (``set<list<...>>``).  The
 #: type grammar is parsed recursively; the bound turns hostile input into
@@ -77,20 +103,25 @@ def parse_schema(text: str, name: str = "schema") -> Schema:
         stream.expect_punct("{")
         wrapped = True
     schema = Schema(name)
-    while stream.at_ident("interface"):
-        schema.add_interface(_parse_interface(stream))
-    if wrapped:
-        stream.expect_punct("}")
-        stream.accept_punct(";")
-    stream.expect_end()
+    # Every offset the loops below pass on starts a token that scans.
+    pos = stream.start
+    while _AT_INTERFACE(text, pos):
+        interface, pos = _parse_interface(text, pos)
+        schema.add_interface(interface)
+    if wrapped or pos < len(text):
+        stream = TokenStream(text, pos)
+        if wrapped:
+            stream.expect_punct("}")
+            stream.accept_punct(";")
+        stream.expect_end()
     return schema
 
 
 def parse_interface(text: str) -> InterfaceDef:
     """Parse a single interface definition."""
-    stream = TokenStream(text)
-    interface = _parse_interface(stream)
-    stream.expect_end()
+    interface, pos = _parse_interface(text, TokenStream(text).start)
+    if pos < len(text):
+        TokenStream(text, pos).expect_end()
     return interface
 
 
@@ -102,7 +133,44 @@ def parse_type(text: str) -> TypeRef:
     return type_ref
 
 
-def _parse_interface(stream: TokenStream) -> InterfaceDef:
+def _parse_interface(text: str, pos: int) -> tuple[InterfaceDef, int]:
+    """Parse the interface definition starting at offset *pos*; return it
+    and the offset of the token after it."""
+    header = HEADER.match(text, pos)
+    if header is None:
+        stream = TokenStream(text, pos)
+        interface = _parse_header(stream)
+        pos = stream.start
+    else:
+        supertypes = header["supertypes"]
+        interface = InterfaceDef(
+            header["interface_name"],
+            supertypes=[] if supertypes is None else _names(supertypes),
+        )
+        pos = header.end()
+    match_member = MEMBER.match
+    while True:
+        member = match_member(text, pos)
+        if member is not None and _BUILDERS[member.lastgroup](
+            member, interface
+        ):
+            pos = member.end()
+            continue
+        close = CLOSE.match(text, pos)
+        if close is not None:
+            return interface, close.end()
+        # No pattern matched, or the builder left the declaration: the
+        # token path parses it (or the closing brace) from here.
+        stream = TokenStream(text, pos)
+        if stream.at_punct("}"):
+            stream.advance()
+            stream.accept_punct(";")
+            return interface, stream.start
+        _parse_member(stream, interface)
+        pos = stream.start
+
+
+def _parse_header(stream: TokenStream) -> InterfaceDef:
     stream.expect_ident("interface")
     name = stream.expect_ident()
     supertypes: list[str] = []
@@ -112,11 +180,143 @@ def _parse_interface(stream: TokenStream) -> InterfaceDef:
             supertypes.append(stream.expect_ident())
     interface = InterfaceDef(name, supertypes=supertypes)
     stream.expect_punct("{")
-    while not stream.at_punct("}"):
-        _parse_member(stream, interface)
-    stream.expect_punct("}")
-    stream.accept_punct(";")
     return interface
+
+
+# ----------------------------------------------------------------------
+# Declaration builders
+#
+# Each builds one matched member declaration into *interface* and returns
+# True, or returns False before any ``add_*`` call to leave the
+# declaration to ``_parse_member``.  They construct in the token path's
+# order, so a model error is the one the token path raises first.
+# ----------------------------------------------------------------------
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The interned names of a matched ``ident_list``."""
+    return tuple(map(intern, NAME_ITEM.findall(text)))
+
+
+def _matched_type(
+    word: str,
+    element: str | None,
+    element_size: str | None,
+    bound: str | None,
+    size: str | None,
+) -> TypeRef | None:
+    """The type of the groups of a matched type (an absent group is
+    ``None`` or empty), or ``None`` where the token path raises a syntax
+    error."""
+    if element:
+        if word not in COLLECTION_KINDS:
+            return None
+        element_type = _matched_type(element, None, None, None, element_size)
+        if element_type is None:
+            return None
+        return CollectionType(
+            intern(word), element_type, int(bound) if bound else None
+        )
+    if word in SCALAR_TYPE_NAMES:
+        return _scalar_type(intern(word), int(size) if size else None)
+    if size or word in COLLECTION_KINDS:
+        return None
+    return NamedType(intern(word))
+
+
+def _type_groups(name: str) -> tuple[str, ...]:
+    """The group names of the type pattern named *name*, in
+    :func:`_matched_type`'s argument order."""
+    suffixes = ("", "_element", "_element_size", "_bound", "_size")
+    return tuple(name + suffix for suffix in suffixes)
+
+
+_ATTRIBUTE_TYPE = _type_groups("attribute_type")
+_TARGET = _type_groups("target")
+_RETURNS = _type_groups("returns")
+_RELATIONSHIP_KINDS = {
+    None: RelationshipKind.ASSOCIATION, **_RELATIONSHIP_KEYWORDS
+}
+
+
+def _build_extent(match: re.Match, interface: InterfaceDef) -> bool:
+    interface.set_extent(intern(match["extent_name"]))
+    return True
+
+
+def _build_keys(match: re.Match, interface: InterfaceDef) -> bool:
+    for names, name in KEY_ITEM.findall(match["key_specs"]):
+        interface.add_key(_names(names) if names else (intern(name),))
+    return True
+
+
+def _build_attribute(match: re.Match, interface: InterfaceDef) -> bool:
+    attr_type = _matched_type(*match.group(*_ATTRIBUTE_TYPE))
+    if attr_type is None:
+        return False
+    interface.add_attribute(
+        Attribute(intern(match["attribute_name"]), attr_type)
+    )
+    return True
+
+
+def _build_relationship(match: re.Match, interface: InterfaceDef) -> bool:
+    target = _matched_type(*match.group(*_TARGET))
+    if target is None:
+        return False
+    order_by = match["order_by"]
+    interface.add_relationship(
+        RelationshipEnd(
+            intern(match["path"]),
+            target,
+            intern(match["inverse_type"]),
+            intern(match["inverse_path"]),
+            _RELATIONSHIP_KINDS[match["relationship_kind"]],
+            () if order_by is None else _names(order_by),
+        )
+    )
+    return True
+
+
+def _build_operation(match: re.Match, interface: InterfaceDef) -> bool:
+    return_type = _matched_type(*match.group(*_RETURNS))
+    if return_type is None:
+        return False
+    parameters: list[Parameter] = []
+    text = match["parameters"]
+    if text is not None:
+        for direction, *type_groups, name in PARAMETER.findall(text):
+            param_type = _matched_type(*type_groups)
+            if param_type is None:
+                return False
+            parameters.append(
+                Parameter(intern(direction), param_type, intern(name))
+            )
+    raises = match["raises"]
+    interface.add_operation(
+        Operation(
+            intern(match["operation_name"]),
+            return_type,
+            tuple(parameters),
+            () if raises is None else _names(raises),
+        )
+    )
+    return True
+
+
+_BUILDERS = {
+    "extent": _build_extent,
+    "keys": _build_keys,
+    "attribute": _build_attribute,
+    "relationship": _build_relationship,
+    "operation": _build_operation,
+}
+
+
+# ----------------------------------------------------------------------
+# Token-level recursive descent: the grammar's reference, the fallback of
+# the declaration path and the only source of syntax errors
+# ----------------------------------------------------------------------
 
 
 def _parse_member(stream: TokenStream, interface: InterfaceDef) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.concepts.base import read_interface
 from repro.model.attributes import Attribute
 from repro.model.errors import SchemaError
 from repro.model.interface import InterfaceDef
@@ -48,7 +49,7 @@ class LocalNameMap:
         if not local_name or not local_name[0].isalpha():
             raise SchemaError(f"invalid local name {local_name!r}")
         owner, _, member = path.partition(".")
-        interface = schema.get(owner)
+        interface = read_interface(schema, owner)
         if member:
             known = (
                 member in interface.attributes
@@ -149,7 +150,7 @@ def _rename_type_ref(type_ref: TypeRef, names: LocalNameMap) -> TypeRef:
 
 def _attribute_provider(schema: Schema, owner: str, attr_name: str) -> str:
     """The type whose declaration of *attr_name* is visible on *owner*."""
-    if attr_name in schema.get(owner).attributes:
+    if attr_name in read_interface(schema, owner).attributes:
         return owner
     return schema.inherited_attributes(owner).get(attr_name, owner)
 

@@ -13,8 +13,6 @@ the wheels that can hold an affected type.
 
 from __future__ import annotations
 
-import importlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,9 +33,6 @@ from repro.ops.language import parse_operation
 from repro.repository.repository import SchemaRepository
 from repro.workload.generator import WorkloadSpec, generate_schema
 from tests.decompose_reference import reference_decompose
-
-#: The module, not the function ``repro.concepts`` re-exports by name.
-decompose_module = importlib.import_module("repro.concepts.decompose")
 
 UNKNOWN_IDENTIFIERS = (
     "ww:NoSuchType", "gh:NoSuchType", "ah:NoSuchType", "ih:NoSuchType",
@@ -243,17 +238,16 @@ class TestExtractsOnDemand:
 
     @staticmethod
     def _record_wheels(monkeypatch) -> list[str]:
+        """Record the focal of every wheel extracted: the body shared by
+        ``extract_wagon_wheel`` and ``extract_wagon_wheel_view``."""
         calls: list[str] = []
-        original = wagon_wheel.extract_wagon_wheel
+        original = wagon_wheel._share_wagon_wheel
 
         def counting(schema, focal):
             calls.append(focal)
             return original(schema, focal)
 
-        for module in (wagon_wheel, decompose_module):
-            monkeypatch.setattr(
-                module, "extract_wagon_wheel", counting, raising=False
-            )
+        monkeypatch.setattr(wagon_wheel, "_share_wagon_wheel", counting)
         return calls
 
     def test_open_and_one_view_extract_one_wheel(self, monkeypatch):

@@ -159,3 +159,25 @@ class TestRepositoryIntegration:
         assert localized.startswith("interface Kunde")
         canonical = execute(session, "odl Person")
         assert canonical.startswith("interface Person")
+
+
+class TestLocalNamesKeepSharing:
+    """Local names only read the workspace: they must leave every
+    interface it shares with the shrink wrap shared."""
+
+    def test_display_and_alias_copy_nothing(self, university):
+        repository = SchemaRepository(university)
+        workspace = repository.workspace.schema
+        shrink_wrap = repository.shrink_wrap
+
+        def shared():
+            return sum(
+                workspace.interfaces[name] is interface
+                for name, interface in shrink_wrap.interfaces.items()
+            )
+
+        assert shared() == len(shrink_wrap.interfaces) == 16
+        repository.display_schema()
+        repository.local_names.set_alias("Person", "Individual", workspace)
+        assert shared() == 16
+        assert "Individual" in repository.display_schema()

@@ -183,3 +183,19 @@ class TestModuleWrapper:
         from repro.odl.parser import parse_schema
 
         assert parse_schema("interface A {};", name="n").name == "n"
+
+
+class TestViewsLeaveNoClaims:
+    def test_views_of_a_shared_focal_add_no_claims(self, university):
+        """A view copies the focal interface, so it registers no snapshot
+        claim on the interface the workspace shares with the shrink wrap
+        (one that never mutates would hold the claim for ever)."""
+        repository = SchemaRepository(university)
+        course = repository.shrink_wrap.interfaces["Course"]
+        assert repository.workspace.schema.interfaces["Course"] is course
+        before = list(course._claims or ())
+        for name in ("a", "b", "c"):
+            extract_wagon_wheel_view(
+                repository.workspace.schema, "Course", name
+            )
+        assert list(course._claims or ()) == before
