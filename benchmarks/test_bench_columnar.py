@@ -1,9 +1,9 @@
 """Columnar-core scaling curve: the 100k-type regime (ISSUE 8).
 
-PR 8 moves the hot adjacency of :class:`~repro.model.index.SchemaIndex`
-onto a struct-of-arrays store (interned name ids, flat ``array('i')``
+The hot adjacency behind ``Schema.index`` lives on a
+struct-of-arrays store (interned name ids, flat ``array('i')``
 parents / children / reference columns with free-list reuse -- DESIGN
-5i) and makes post-plan verification O(changed) via the spine's
+5i), and post-plan verification is O(changed) via the spine's
 touched-interface set.  This bench records the types-axis curve the
 ISSUE asks for at 200 / 1k / 10k / 100k types:
 

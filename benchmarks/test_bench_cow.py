@@ -125,14 +125,14 @@ def _assert_no_post_fork_rebuild(schema, probe: str) -> None:
     """Acceptance: fork + queries + a child edit never rebuild columns."""
     branch = schema.fork("rebuild_probe")
     try:
-        assert branch.index.adjacency.rebuilds == 0
+        assert branch.index.rebuilds == 0
         branch.descendants(probe)
         branch.index.referencers_of(probe)
         branch.edit(probe).add_attribute(
             Attribute("cow_rebuild_probe", ScalarType("long"))
         )
         branch.descendants(probe)
-        assert branch.index.adjacency.rebuilds == 0, (
+        assert branch.index.rebuilds == 0, (
             "CoW fork paid an O(types) columnar rebuild while its "
             "parent was quiescent"
         )

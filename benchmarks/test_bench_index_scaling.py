@@ -1,11 +1,12 @@
-"""Index scaling: memoized graph queries vs the full-scan baseline.
+"""Index scaling: the graph store's queries vs the full-scan baseline.
 
 The paper's pipeline (Figure 1) asks the schema graph the same questions
 over and over -- subtypes for every wagon wheel, descendants for every
 hierarchy root, parts explosions per aggregation root.  This bench
 sweeps generated workload schemas at 20/60/200 interfaces and times an
-all-types query sweep through the :class:`~repro.model.index.SchemaIndex`
-against the preserved ``scan_*`` full-scan reference implementations.
+all-types query sweep through the graph store behind ``Schema.index``
+(:class:`~repro.model.columnar.ColumnarAdjacency`) against the
+preserved ``scan_*`` full-scan reference implementations.
 
 Acceptance floor (ISSUE 1): >= 5x on ``descendants`` and ``parts`` at
 200 interfaces.  ``make bench-smoke`` runs the reduced configuration
@@ -25,7 +26,6 @@ import pytest
 from repro.model.index import (
     scan_descendants,
     scan_parts,
-    scan_relationship_pairs,
     scan_subtypes,
     scan_wholes,
 )
@@ -81,10 +81,6 @@ def _sweep_cases(schema: Schema) -> dict[str, tuple[Callable, Callable]]:
             lambda: [schema.wholes(n) for n in names],
             lambda: [scan_wholes(schema, n) for n in names],
         ),
-        "relationship_pairs": (
-            lambda: schema.relationship_pairs(),
-            lambda: scan_relationship_pairs(schema),
-        ),
     }
 
 
@@ -103,7 +99,7 @@ def _measure(size: int) -> dict[str, tuple[float, float, float]]:
 
 def test_bench_index_scaling(report):
     lines = [
-        "schema-graph query scaling: SchemaIndex vs full-scan baseline",
+        "schema-graph query scaling: graph store vs full-scan baseline",
         f"mode: {'smoke' if SMOKE else 'full'}; all-types sweep, "
         f"best of {REPEATS}",
         "",

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from repro.instances.check import check_population
 from repro.instances.population import Population
+from repro.model.interface import InterfaceDef
 from repro.model.relationships import RelationshipEnd, RelationshipKind
 from repro.model.schema import Schema
 from repro.model.types import ScalarType
@@ -156,13 +157,27 @@ class _Builder:
         return True
 
 
+def _site_owners(
+    schema: Schema, interfaces: Iterable[str] | None
+) -> list[InterfaceDef]:
+    """The defined interfaces among *interfaces* (every interface when
+    ``None``), in declaration order: the owners whose ends and keys are
+    the sites.  Sorting only the named owners keeps a chunked caller
+    from paying for the whole schema per chunk."""
+    if interfaces is None:
+        return list(schema)
+    defined = schema.interfaces
+    named = {name for name in interfaces if name in defined}
+    return [defined[name] for name in schema.index.in_declaration_order(named)]
+
+
 def _end_sites(
-    schema: Schema, interfaces: set[str] | None
+    owners: list[InterfaceDef],
 ) -> list[tuple[str, RelationshipEnd]]:
     return [
-        (owner, end)
-        for owner, end in schema.relationship_pairs()
-        if interfaces is None or owner in interfaces
+        (interface.name, end)
+        for interface in owners
+        for end in interface.relationships.values()
     ]
 
 
@@ -236,12 +251,10 @@ def _inverse_pair(
 
 
 def _key_pairs(
-    schema: Schema, interfaces: set[str] | None
+    schema: Schema, owners: list[InterfaceDef]
 ) -> list[ExamplePair]:
     pairs: list[ExamplePair] = []
-    for interface in schema:
-        if interfaces is not None and interface.name not in interfaces:
-            continue
+    for interface in owners:
         for key in interface.keys:
             subject = f"{interface.name} key ({', '.join(key)})"
             witness = Population(f"{interface.name}_key_witness")
@@ -398,10 +411,10 @@ def significant_examples(
     the witness is admitted by :func:`check_population` and the
     near-miss provokes at least one issue of the pair's kind.
     """
-    interface_set = None if interfaces is None else set(interfaces)
+    owners = _site_owners(schema, interfaces)
     kind_set = set(kinds) if kinds is not None else set(CONSTRAINT_KINDS)
     candidates: list[ExamplePair] = []
-    ends = _end_sites(schema, interface_set)
+    ends = _end_sites(owners)
     if "cardinality" in kind_set:
         candidates.extend(
             pair for owner, end in ends
@@ -413,7 +426,7 @@ def significant_examples(
             if (pair := _inverse_pair(schema, owner, end)) is not None
         )
     if "key" in kind_set:
-        candidates.extend(_key_pairs(schema, interface_set))
+        candidates.extend(_key_pairs(schema, owners))
     if "order-by" in kind_set:
         candidates.extend(
             pair for owner, end in ends

@@ -1,8 +1,8 @@
 """Reference-spec independence: slow paths never query fast paths.
 
 Every differential invariant in this repo checks a fast path against a
-slow reference specification: ``scan_*`` full scans vs
-:class:`SchemaIndex` and its ``ColumnarAdjacency`` store,
+slow reference specification: ``scan_*`` full scans vs the
+:class:`ColumnarAdjacency` graph store behind ``Schema.index``,
 ``validate_schema`` vs :class:`ValidationCache`, ``Schema.copy``
 (eager) vs ``Schema.fork`` (CoW).  Those invariants are evidence only
 while the reference side is *independent*: a spec that transitively
@@ -14,8 +14,8 @@ flags, anywhere in it:
 
 * attribute **loads** of ``index`` / ``_index`` / ``validation`` /
   ``_validation`` (the cache access channels on ``Schema``), and
-* name **loads** of ``SchemaIndex`` / ``ValidationCache`` /
-  ``ColumnarAdjacency`` (direct fast-path references).
+* name **loads** of ``ValidationCache`` / ``ColumnarAdjacency``
+  (direct fast-path references).
 
 Class instantiations are not descended: ``Schema(...)`` *constructing*
 its caches in ``__post_init__`` is wiring, not querying -- the contract
@@ -35,9 +35,7 @@ from repro.lint.registry import LintContext, register_pass
 FAST_PATH_ATTRS = frozenset({"index", "_index", "validation", "_validation"})
 
 #: direct references to fast-path classes
-FAST_PATH_CLASSES = frozenset(
-    {"SchemaIndex", "ValidationCache", "ColumnarAdjacency"}
-)
+FAST_PATH_CLASSES = frozenset({"ValidationCache", "ColumnarAdjacency"})
 
 #: the spec roots: (module, class | None, function-name predicate)
 INDEX_MODULE = "repro.model.index"
@@ -143,7 +141,7 @@ def independence_findings(
     rules=("ref-independence",),
     contract=(
         "scan_*, validate_schema, and Schema.copy never transitively "
-        "query SchemaIndex / ValidationCache / ColumnarAdjacency "
+        "query ValidationCache / ColumnarAdjacency "
         "(differential invariants stay non-circular)"
     ),
 )

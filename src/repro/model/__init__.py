@@ -16,7 +16,6 @@ from repro.model.errors import (
     UnknownTypeError,
     ValidationError,
 )
-from repro.model.index import SchemaIndex
 from repro.model.interface import InterfaceDef
 from repro.model.mutation import (
     Aspect,
@@ -76,7 +75,6 @@ __all__ = [
     "ScalarType",
     "Schema",
     "SchemaError",
-    "SchemaIndex",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "TypeRef",

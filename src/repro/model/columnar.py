@@ -1,12 +1,12 @@
-"""Columnar (struct-of-arrays) link storage: the 100k-type regime.
+"""The columnar (struct-of-arrays) graph store behind ``Schema.index``.
 
-The dict-of-sets adjacency the index grew in PR 6 is fast enough at 10k
-types but pays Python-object overhead per node and per edge: every
-parent tuple, child set, and reference frozenset is a separate
-heap-allocated container keyed by strings.  At 100k types those
-containers dominate both memory and cache behaviour.
-
-This module stores the same link families column-wise instead:
+Every concept-schema extraction, propagation expansion, and consistency
+pass bottoms out in :class:`~repro.model.schema.Schema`'s graph
+queries, and the paper's designer re-validates after every single edit.
+Answering them by scanning all interfaces makes one edit cost
+O(types); this store answers them from state the mutation spine keeps
+current instead, and stores that state column-wise so 100k-type
+schemas pay no Python-object overhead per node and per edge:
 
 * :class:`NameTable` interns every type *name* (defined or dangling)
   to a dense integer id, refcounted with a free list so ids are reused
@@ -16,17 +16,29 @@ This module stores the same link families column-wise instead:
 * :class:`ColumnarAdjacency` keeps four parallel columns of flat
   ``array('i')`` rows indexed by id -- supertype parents, ISA children,
   outgoing references, and incoming references -- fed incrementally
-  from the mutation spine by exactly the record stream
-  :class:`~repro.model.index.SchemaIndex` already consumes.  Beside
-  them it keeps the rest of the state an edit queries: a declaration
-  position per id, the owners of to-many part-of / instance-of ends
-  with their reverse map, and the owners of each extent name.
+  from the schema's mutation spine (it is the spine's subscriber).
+  Beside them it keeps the rest of the state an edit queries: a
+  declaration position per id, the owners of to-many part-of /
+  instance-of ends with their reverse map, and the owners of each
+  extent name.
 
-Its specification is :func:`repro.model.index.scan_adjacency`, which
-derives the four exported maps from the interfaces: the
+Each record re-derives only its own owner, so an edit costs
+O(changed), and every query answers in O(result): results that must
+come out in declaration order sort their few names by position, and no
+query filters the whole type list.
+
+**Invalidation contract.**  A lossy record (``Schema.touch()`` or an
+unknown kind) makes the store rescan the schema on the next query;
+code that mutates schema content without going through a mutator must
+call ``Schema.touch()`` itself -- see DESIGN.md §5e.
+
+Its specifications are the ``scan_*`` functions of
+:mod:`repro.model.index`: :func:`~repro.model.index.scan_adjacency`
+derives the four exported maps from the interfaces (the
 ``columnar-vs-scan`` invariant and the property tests in
 ``tests/test_columnar_adjacency.py`` require the store to equal it
-after every operation.
+after every operation), and the other scans are the per-query
+references of the ``index-*-vs-scan`` invariants.
 
 **Id / free-list lifecycle.**  An id's refcount is the number of
 reasons its name must stay resolvable: +1 while an interface of that
@@ -181,7 +193,10 @@ class ColumnarAdjacency:
       name and the owners of every extent name (``set_extent``).
 
     Queries that must answer in declaration order sort their few names
-    by position; none of them walks the schema.
+    by position; none of them walks the schema.  Each public query
+    checks freshness exactly once (:meth:`ensure_fresh`, which also
+    keeps the hit / miss / rebuild counters); the helpers it calls
+    (``_sorted`` and the other underscore methods) do not re-check.
 
     **Copy-on-write fork views (DESIGN.md 5j).**  :meth:`fork_view`
     hands a CoW fork an overlay copy: the outer columns, name table,
@@ -215,6 +230,9 @@ class ColumnarAdjacency:
         "_shares_state",
         "_pending",
         "_dirty",
+        "_answered",
+        "hits",
+        "misses",
         "rebuilds",
         "version",
         "_owned",
@@ -248,6 +266,12 @@ class ColumnarAdjacency:
         self._shares_state = False
         self._pending: set[str] = set()
         self._dirty = True
+        #: Whether the store has answered a query yet: a scan after that
+        #: is a rescan (counted in ``rebuilds``), the first one a cold
+        #: build (a miss).
+        self._answered = False
+        self.hits = 0
+        self.misses = 0
         self.rebuilds = 0
         #: Bumped on every content-bearing record (and on mark_dirty);
         #: fork views pin it to detect base divergence.
@@ -264,7 +288,7 @@ class ColumnarAdjacency:
     # ------------------------------------------------------------------
 
     def observe(self, record: MutationRecord) -> None:
-        """Fold one spine record (the stream ``SchemaIndex`` consumes)."""
+        """Fold one spine record (this store is the spine's subscriber)."""
         kind = record.kind
         if kind == "scope":
             return
@@ -386,7 +410,12 @@ class ColumnarAdjacency:
             self._refs_out[ident] = None
             self._refs_in[ident] = None
 
-    def _link_parent(self, ident: int, parent: str) -> None:
+    def _link_parent(
+        self, ident: int, parent: str, position: int | None = None
+    ) -> None:
+        """Add *parent* to *ident*'s parents row: appended, or inserted at
+        *position* exactly as ``InterfaceDef.add_supertype`` inserts it
+        (an undone supertype deletion restores its original slot)."""
         pid = self.table.acquire(parent)
         self._ensure_row(pid)
         self._own(ident)
@@ -394,8 +423,10 @@ class ColumnarAdjacency:
         row = self._parents[ident]
         if row is None:
             self._parents[ident] = array("i", (pid,))
-        else:
+        elif position is None:
             row.append(pid)
+        else:
+            row.insert(position, pid)
         bucket = self._children[pid]
         if bucket is None:
             self._children[pid] = array("i", (ident,))
@@ -479,7 +510,8 @@ class ColumnarAdjacency:
             return
         kind = record.kind
         if kind == "add_supertype":
-            self._link_parent(ident, record.payload["supertype"])
+            payload = record.payload
+            self._link_parent(ident, payload["supertype"], payload["position"])
         elif kind == "remove_supertype":
             self._unlink_parent(ident, record.payload["supertype"])
         else:  # set_supertypes
@@ -639,7 +671,6 @@ class ColumnarAdjacency:
     def _rebuild(self) -> None:
         self.mark_dirty()
         self._dirty = False
-        self.rebuilds += 1
         for interface in self._schema:
             self._define(interface)
         for interface in self._schema:
@@ -648,12 +679,24 @@ class ColumnarAdjacency:
             self._set_refs(ident, interface.referenced_type_names())
 
     def ensure_fresh(self) -> bool:
-        """Rebuild if dirty; True when a scan rebuild happened."""
+        """Rebuild if dirty; True when a scan rebuild happened.
+
+        The one freshness check of every public query, and the one
+        place the counters move: an answer from the live state is a
+        hit, a scan is a miss, and a scan after the store first
+        answered (a lossy record, or a base mutation under a fork
+        view) is also a rebuild -- a cold build is not.
+        """
         if self._base is not None and self._overlay_stale():
             self.mark_dirty()
         if self._dirty:
             self._rebuild()
+            self.misses += 1
+            if self._answered:
+                self.rebuilds += 1
+            self._answered = True
             return True
+        self.hits += 1
         return False
 
     def _overlay_stale(self) -> bool:
@@ -705,6 +748,9 @@ class ColumnarAdjacency:
         dup._shares_state = True
         dup._pending = set()
         dup._dirty = False
+        dup._answered = True
+        dup.hits = 0
+        dup.misses = 0
         dup.rebuilds = 0
         dup.version = 0
         dup._owned = set()
@@ -713,7 +759,38 @@ class ColumnarAdjacency:
         return dup
 
     # ------------------------------------------------------------------
-    # Queries
+    # Unchecked helpers (the caller has checked freshness)
+    # ------------------------------------------------------------------
+
+    def _sorted(self, names: Iterable[str]) -> list[str]:
+        """Defined *names* sorted by declaration position."""
+        position = self._position
+        id_of = self.table.id_of
+        return sorted(names, key=lambda name: position[id_of(name)])
+
+    def _children_of(self, name: str) -> list[str]:
+        ident = self.table.id_of(name)
+        if ident is None:
+            return []
+        row = self._children[ident]
+        if not row:
+            return []
+        name_of = self.table.name_of
+        return [name_of(child) for child in row]
+
+    def _referencers_of(self, target: str) -> set[str]:
+        self._flush()
+        tid = self.table.id_of(target)
+        if tid is None:
+            return set()
+        bucket = self._refs_in[tid]
+        if not bucket:
+            return set()
+        name_of = self.table.name_of
+        return {name_of(i) for i in bucket}
+
+    # ------------------------------------------------------------------
+    # Queries: each checks freshness exactly once
     # ------------------------------------------------------------------
 
     def parents_of(self, name: str) -> tuple[str, ...]:
@@ -731,6 +808,21 @@ class ColumnarAdjacency:
             return ()
         name_of = self.table.name_of
         return tuple(name_of(i) for i in row)
+
+    def children_of(self, name: str) -> list[str]:
+        """Defined interfaces listing *name* as a supertype, unordered.
+
+        *name* may be dangling: its children row lives on as long as a
+        subtype still lists it.
+        """
+        self.ensure_fresh()
+        return self._children_of(name)
+
+    def subtypes_of(self, name: str) -> list[str]:
+        """Direct subtypes of *name* (defined or dangling), in
+        declaration order."""
+        self.ensure_fresh()
+        return self._sorted(self._children_of(name))
 
     def descendants_of(self, name: str) -> set[str]:
         """Transitive subtypes of *name*; excludes *name* itself."""
@@ -766,48 +858,6 @@ class ColumnarAdjacency:
         name_of = self.table.name_of
         return {name_of(i) for i in seen}
 
-    def referencers_of(self, target: str) -> set[str]:
-        """Names of defined interfaces whose definition mentions *target*."""
-        self.ensure_fresh()
-        self._flush()
-        tid = self.table.id_of(target)
-        if tid is None:
-            return set()
-        bucket = self._refs_in[tid]
-        if not bucket:
-            return set()
-        name_of = self.table.name_of
-        return {name_of(i) for i in bucket}
-
-    def refs_of(self, name: str) -> frozenset[str]:
-        """Names referenced by interface *name* (empty if undefined)."""
-        self.ensure_fresh()
-        self._flush()
-        ident = self.table.id_of(name)
-        if ident is None or not self._defined[ident]:
-            return frozenset()
-        row = self._refs_out[ident]
-        if not row:
-            return frozenset()
-        name_of = self.table.name_of
-        return frozenset(name_of(i) for i in row)
-
-    def children_of(self, name: str) -> list[str]:
-        """Defined interfaces listing *name* as a supertype, unordered.
-
-        *name* may be dangling: its children row lives on as long as a
-        subtype still lists it.
-        """
-        self.ensure_fresh()
-        ident = self.table.id_of(name)
-        if ident is None:
-            return []
-        row = self._children[ident]
-        if not row:
-            return []
-        name_of = self.table.name_of
-        return [name_of(child) for child in row]
-
     def ancestors_of(self, name: str) -> set[str]:
         """Transitive *resolved* supertypes of *name* (parent rows)."""
         self.ensure_fresh()
@@ -835,23 +885,70 @@ class ColumnarAdjacency:
         parents = self._parents
         defined = self._defined
         name_of = self.table.name_of
-        roots = [
+        return self._sorted(
             name_of(ident)
             for ident, row in enumerate(self._children)
             if row
             and defined[ident]
             and not any(defined[p] for p in parents[ident] or ())
+        )
+
+    # -- reverse references ----------------------------------------------
+
+    def referencers_of(self, target: str) -> set[str]:
+        """Names of defined interfaces whose definition mentions *target*.
+
+        Reference = supertype entry, attribute domain, relationship
+        target/inverse type, or operation signature type -- exactly
+        :meth:`InterfaceDef.referenced_type_names`.  A mutator record
+        only marks its owner pending, and pending owners re-derive their
+        reference rows lazily, here.
+        """
+        self.ensure_fresh()
+        return self._referencers_of(target)
+
+    def refs_of(self, name: str) -> frozenset[str]:
+        """Names referenced by interface *name* (empty if undefined)."""
+        self.ensure_fresh()
+        self._flush()
+        ident = self.table.id_of(name)
+        if ident is None or not self._defined[ident]:
+            return frozenset()
+        row = self._refs_out[ident]
+        if not row:
+            return frozenset()
+        name_of = self.table.name_of
+        return frozenset(name_of(i) for i in row)
+
+    def ends_targeting(
+        self, targets: set[str]
+    ) -> list[tuple[str, RelationshipEnd]]:
+        """(owner, end) pairs with ``end.target_type`` in *targets*.
+
+        In ``Schema.relationship_pairs`` order, but read off the reverse
+        reference rows: an end targeting X implies its owner references
+        X (``referenced_type_names`` includes every end's target type),
+        so only referencing owners' end lists are inspected, sorted by
+        declaration position.
+        """
+        self.ensure_fresh()
+        interfaces = self._schema.interfaces
+        owners: set[str] = {name for name in targets if name in interfaces}
+        for target in targets:
+            owners.update(self._referencers_of(target))
+        return [
+            (owner, end)
+            for owner in self._sorted(owners)
+            for end in interfaces[owner].relationships.values()
+            if end.target_type in targets
         ]
-        return self.in_declaration_order(roots)
 
     # -- declaration order ----------------------------------------------
 
     def in_declaration_order(self, names: Iterable[str]) -> list[str]:
         """Defined *names* sorted by declaration position."""
         self.ensure_fresh()
-        position = self._position
-        id_of = self.table.id_of
-        return sorted(names, key=lambda name: position[id_of(name)])
+        return self._sorted(names)
 
     def position_of(self, name: str) -> int:
         """Declaration sort key of defined *name* (ordered, not dense)."""
@@ -867,15 +964,12 @@ class ColumnarAdjacency:
         """Defined name -> contiguous declaration rank (built on demand)."""
         self.ensure_fresh()
         name_of = self.table.name_of
-        names = [
+        names = self._sorted(
             name_of(ident)
             for ident, defined in enumerate(self._defined)
             if defined
-        ]
-        return {
-            name: rank
-            for rank, name in enumerate(self.in_declaration_order(names))
-        }
+        )
+        return {name: rank for rank, name in enumerate(names)}
 
     # -- part-of / instance-of links ------------------------------------
 
@@ -892,33 +986,33 @@ class ColumnarAdjacency:
         interfaces = self._schema.interfaces
         return [
             (owner, end.target_type, end)
-            for owner in self.in_declaration_order(self._links[kind])
+            for owner in self._sorted(self._links[kind])
             for end in interfaces[owner].relationships.values()
             if end.kind is kind and end.is_to_many
         ]
 
     def link_edge_count(self, kind: RelationshipKind) -> int:
+        """Number of *kind* edges without listing them."""
         self.ensure_fresh()
         return sum(map(len, self._links[kind].values()))
 
     def link_targets(self, kind: RelationshipKind, name: str) -> list[str]:
-        """Targets of *name*'s to-many ends of *kind*, in end order."""
+        """Targets of *name*'s to-many ends of *kind*, in end order
+        (one per edge): its parts or its instances."""
         self.ensure_fresh()
         return list(self._links[kind].get(name, ()))
 
     def link_sources(self, kind: RelationshipKind, name: str) -> list[str]:
         """Owners of to-many *kind* ends targeting *name*, one per edge,
-        in declaration order."""
+        in declaration order: its wholes or its generics."""
         self.ensure_fresh()
-        return self.in_declaration_order(
-            self._linked_from[kind].get(name, ())
-        )
+        return self._sorted(self._linked_from[kind].get(name, ()))
 
     def link_roots(self, kind: RelationshipKind) -> list[str]:
         """Owners of *kind* edges that are no edge's target."""
         self.ensure_fresh()
         linked_from = self._linked_from[kind]
-        return self.in_declaration_order(
+        return self._sorted(
             owner for owner in self._links[kind] if owner not in linked_from
         )
 
@@ -928,7 +1022,7 @@ class ColumnarAdjacency:
         held = self._extent_owners.get(extent, ())
         if isinstance(held, str):
             return [held]
-        return self.in_declaration_order(held)
+        return self._sorted(held)
 
     # ------------------------------------------------------------------
     # Differential exports (dict-shaped views of the columns)
@@ -983,13 +1077,22 @@ class ColumnarAdjacency:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
+        """Hit / miss / rebuild counters plus the store's sizes."""
         return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "rebuilds": self.rebuilds,
             "ids": len(self.table),
             "capacity": self.table.capacity,
             "free_ids": self.table.free_ids,
-            "rebuilds": self.rebuilds,
             "pending": len(self._pending),
         }
+
+    def reset_stats(self) -> None:
+        """Zero the counters (benchmarks measure phases separately)."""
+        self.hits = 0
+        self.misses = 0
+        self.rebuilds = 0
 
     def check_integrity(self) -> list[str]:
         """Re-derive every refcount / row invariant; [] when sound.

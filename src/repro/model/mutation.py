@@ -1,22 +1,21 @@
 """The mutation spine: one structured change-event stream per schema.
 
 Three earlier layers each bolted a private invalidation channel onto the
-model: the :class:`~repro.model.index.SchemaIndex` generation counter,
-the memoized fingerprints, and the validation cache's aspect-tagged
-dirty journal, every one fed by ad-hoc hooks a new mutator had to
-remember to call.  This module reifies mutations instead — the
-description-driven move of Le Goff & Kovacs — so the model layer has a
-single source of change truth:
+model: the graph index's generation counter, the memoized fingerprints,
+and the validation cache's aspect-tagged dirty journal, every one fed
+by ad-hoc hooks a new mutator had to remember to call.  This module
+reifies mutations instead — the description-driven move of Le Goff &
+Kovacs — so the model layer has a single source of change truth:
 
 * every mutator on :class:`~repro.model.interface.InterfaceDef` and
   :class:`~repro.model.schema.Schema` emits one structured
   :class:`MutationRecord` (kind, interface, aspects, payload, monotonic
   seq) onto the schema's :class:`MutationLog`;
-* cache layers are *subscribers* of that stream — the index derives its
-  generation from :attr:`MutationLog.seq`, the validation cache's
-  :class:`DirtyJournal` folds records into its dirty set, and
-  fingerprint memos stamp against the same seq (:meth:`MutationLog.
-  memo`);
+* cache layers are *subscribers* of that stream — the columnar graph
+  store (:class:`~repro.model.columnar.ColumnarAdjacency`) folds each
+  record into its rows, the validation cache's :class:`DirtyJournal`
+  folds records into its dirty set, and fingerprint memos stamp against
+  :attr:`MutationLog.seq` (:meth:`MutationLog.memo`);
 * records are **replayable**: :meth:`MutationLog.replay` rebuilds the
   schema from an empty one, which the ``spine-replay`` invariant checks
   against the live fingerprint after fuzz steps, and which gives
@@ -137,8 +136,8 @@ Subscriber = Callable[[MutationRecord], None]
 class MutationLog:
     """The per-schema spine of :class:`MutationRecord` events.
 
-    ``seq`` is the monotonic mutation counter the index stamps its
-    caches with (it *is* ``Schema.generation``); ``subscribe`` registers
+    ``seq`` is the monotonic mutation counter derived-value caches
+    stamp against (it *is* ``Schema.generation``); ``subscribe`` registers
     a callback run synchronously on every append.  ``origin`` /
     ``origin_seq`` / ``base_seq`` record fork lineage so record-level
     diffs can find the suffix two schemas diverged by.
@@ -225,6 +224,10 @@ class MutationLog:
     def subscribe(self, subscriber: Subscriber) -> None:
         """Register a callback invoked on every emitted record."""
         self._subscribers.append(subscriber)
+
+    def unsubscribe(self, subscriber: Subscriber) -> None:
+        """Drop a callback registered with :meth:`subscribe`."""
+        self._subscribers.remove(subscriber)
 
     @property
     def subscriber_count(self) -> int:
@@ -395,6 +398,16 @@ _REPLAYERS: dict[str, Callable[["Schema", MutationRecord], None]] = {
 }
 
 
+def replayable_kind(kind: str) -> bool:
+    """Whether records of *kind* re-apply through a known mutator.
+
+    Spine subscribers that maintain incremental state use this to tell
+    structured mutator records apart from lossy out-of-band ones
+    (``touch`` or any future unregistered kind), which force a rebuild.
+    """
+    return kind in _REPLAYERS
+
+
 # ----------------------------------------------------------------------
 # The dirty journal: the validation cache's subscriber state
 # ----------------------------------------------------------------------
@@ -456,67 +469,6 @@ class DirtyJournal:
         self.removed.clear()
         self.order_changed = False
         self.full = False
-
-
-# ----------------------------------------------------------------------
-# The aspect clock: sharded generation counters for stamped caches
-# ----------------------------------------------------------------------
-
-#: Pseudo-aspect tracked by :class:`AspectClock` for declaration-order
-#: moves (``reorder_interfaces`` records carry an empty aspect set).
-ORDER_CLOCK = "order"
-
-
-def replayable_kind(kind: str) -> bool:
-    """Whether records of *kind* re-apply through a known mutator.
-
-    Spine subscribers that maintain incremental state use this to tell
-    structured mutator records apart from lossy out-of-band ones
-    (``touch`` or any future unregistered kind), which force a rebuild.
-    """
-    return kind in _REPLAYERS
-
-
-class AspectClock:
-    """Per-aspect monotonic generation counters over the spine.
-
-    A whole-log ``seq`` stamp invalidates every cache on every mutation;
-    at 10k types that makes each plan step pay an O(N) index rebuild.
-    The clock shards the generation by :class:`Aspect` (plus membership
-    and declaration order) so a cache family stamps only the counters
-    whose records can change its value: an attribute edit then leaves
-    the subtype map's stamp untouched.
-
-    A counter for an aspect is bumped exactly when a record carrying
-    that aspect lands on the spine, so "my stamp is unchanged" implies
-    "no record since my build could have changed my inputs" — rebuild
-    semantics stay byte-for-byte identical to the scan reference.
-    Lossy records (``touch`` or any unknown kind) bump every counter.
-    """
-
-    __slots__ = ("_clocks",)
-
-    def __init__(self) -> None:
-        self._clocks: dict[object, int] = {}
-
-    def observe(self, record: MutationRecord) -> None:
-        """Fold one mutation record into the sharded counters."""
-        clocks = self._clocks
-        kind = record.kind
-        for aspect in record.aspects:
-            clocks[aspect] = clocks.get(aspect, 0) + 1
-        if kind == "reorder_interfaces":
-            clocks[ORDER_CLOCK] = clocks.get(ORDER_CLOCK, 0) + 1
-        elif kind not in _REPLAYERS:
-            # Out-of-band mutation: nothing can be trusted.
-            for aspect in Aspect:
-                clocks[aspect] = clocks.get(aspect, 0) + 1
-            clocks[ORDER_CLOCK] = clocks.get(ORDER_CLOCK, 0) + 1
-
-    def stamp(self, deps: tuple[object, ...]) -> tuple[int, ...]:
-        """The current counter values for *deps* (a cache's stamp)."""
-        clocks = self._clocks
-        return tuple(clocks.get(dep, 0) for dep in deps)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ The queries here are purely structural; validation rules live in
 Change propagation runs through one channel: every mutation lands a
 :class:`~repro.model.mutation.MutationRecord` on the schema's
 :class:`~repro.model.mutation.MutationLog`, and the cache layers (the
-index's columnar store, validation dirty journal, fingerprint memos)
-are subscribers of that spine -- see DESIGN.md §5e.
+columnar graph store behind :attr:`Schema.index`, the validation dirty
+journal, fingerprint memos) are fed by that spine -- see DESIGN.md §5e.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.model.errors import (
     InvalidModelError,
     UnknownTypeError,
 )
-from repro.model.index import SchemaIndex
+from repro.model.columnar import ColumnarAdjacency
 from repro.model.interface import (
     InterfaceDef,
     _CowAnchor,
@@ -37,11 +37,13 @@ from repro.model.interface import (
     _SchemaShare,
 )
 from repro.model.mutation import Aspect, DirtyJournal, MutationLog
-from repro.model.relationships import RelationshipEnd
+from repro.model.relationships import RelationshipEnd, RelationshipKind
 
 if TYPE_CHECKING:
     from repro.model.validation_cache import ValidationCache
 
+_PART_OF = RelationshipKind.PART_OF
+_INSTANCE_OF = RelationshipKind.INSTANCE_OF
 _MEMBERSHIP = frozenset({Aspect.MEMBERSHIP})
 _ORDER: frozenset[Aspect] = frozenset()
 
@@ -63,7 +65,7 @@ class Schema:
     _journal: DirtyJournal = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
-    _index: SchemaIndex = field(
+    _index: ColumnarAdjacency = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
     _validation: "ValidationCache | None" = field(
@@ -91,7 +93,7 @@ class Schema:
         self._log = MutationLog()
         self._journal = DirtyJournal()
         self._log.subscribe(self._journal.observe)
-        self._index = SchemaIndex(self)
+        self._use_store(ColumnarAdjacency(self))
         self._validation = None
         for interface in self.interfaces.values():
             self._adopt(interface)
@@ -115,9 +117,16 @@ class Schema:
         return self._log.seq
 
     @property
-    def index(self) -> SchemaIndex:
-        """The spine-fed graph index over this schema."""
+    def index(self) -> ColumnarAdjacency:
+        """The spine-fed graph store over this schema."""
         return self._index
+
+    def _use_store(self, store: ColumnarAdjacency) -> None:
+        """Make *store* the graph store, the spine's one feed into it."""
+        if self._index is not None:
+            self._log.unsubscribe(self._index.observe)
+        self._index = store
+        self._log.subscribe(store.observe)
 
     @property
     def journal(self) -> DirtyJournal:
@@ -372,8 +381,8 @@ class Schema:
         Only *resolved* supertypes count: a dangling supertype name is
         not a type of this schema, and including it would make
         ``isa_related`` asymmetric with ``descendants`` (which can never
-        reach an undefined type).  Walks the index's columnar parent
-        rows; ``scan_ancestors`` is the reference.
+        reach an undefined type).  Walks the store's parent rows;
+        ``scan_ancestors`` is the reference.
         """
         self._lookup(name)  # raise for unknown types
         return self._index.ancestors_of(name)
@@ -381,9 +390,10 @@ class Schema:
     def descendants(self, name: str) -> set[str]:
         """All (transitive) subtypes of *name*; excludes *name* itself.
 
-        Served from the index's incrementally maintained compact ISA
-        adjacency (O(result) per query, no per-mutation rebuild); the
-        ``index-vs-scan`` differential pins it to ``scan_descendants``.
+        Served from the store's incrementally maintained ISA child rows
+        (O(result) per query, no per-mutation rebuild); the
+        ``index-generalization-vs-scan`` differential pins it to
+        ``scan_descendants``.
         """
         self._lookup(name)  # raise for unknown types
         return self._index.descendants_of(name)
@@ -452,27 +462,27 @@ class Schema:
 
     def part_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(whole, part, to-parts end) triples, in declaration order."""
-        return self._index.part_of_edges()
+        return self._index.link_edges(_PART_OF)
 
     def instance_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(generic, instance, to-instances end) triples."""
-        return self._index.instance_of_edges()
+        return self._index.link_edges(_INSTANCE_OF)
 
     def parts(self, name: str) -> list[str]:
         """Direct components of *name* in the aggregation hierarchy."""
-        return self._index.parts_of(name)
+        return self._index.link_targets(_PART_OF, name)
 
     def wholes(self, name: str) -> list[str]:
         """Direct wholes that *name* is a component of."""
-        return self._index.wholes_of(name)
+        return self._index.link_sources(_PART_OF, name)
 
     def aggregation_roots(self) -> list[str]:
         """Wholes that are not themselves parts of anything."""
-        return self._index.aggregation_roots()
+        return self._index.link_roots(_PART_OF)
 
     def instance_of_roots(self) -> list[str]:
         """Generic entities that are not instances of anything."""
-        return self._index.instance_of_roots()
+        return self._index.link_roots(_INSTANCE_OF)
 
     # ------------------------------------------------------------------
     # Whole-schema helpers
@@ -480,7 +490,11 @@ class Schema:
 
     def relationship_pairs(self) -> list[tuple[str, RelationshipEnd]]:
         """Every (owner name, end) pair in declaration order."""
-        return list(self._index.relationship_pairs())
+        return [
+            (interface.name, end)
+            for interface in self
+            for end in interface.relationships.values()
+        ]
 
     def find_inverse(self, owner: str, end: RelationshipEnd) -> RelationshipEnd | None:
         """The declared inverse end of *end*, or ``None`` if missing."""
@@ -507,12 +521,13 @@ class Schema:
         O(1)-ish in schema size: the fork *shares* every
         :class:`InterfaceDef` object with this schema (one dict of
         pointers, no interface copies, no population records) and its
-        adjacency index starts as an overlay view of this schema's
-        columns (no O(types) rebuild).  Divergence is paid per touched
-        interface: mutating the fork goes through :meth:`edit`, which
-        privatises the interface there, and mutating *this* schema runs
-        the CoW barrier, which privatises it into any live fork first
-        -- no write is ever visible across the boundary.
+        graph store starts as an overlay view of this schema's columns
+        (no O(types) rebuild), the only store its spine feeds.
+        Divergence is paid per touched interface: mutating the fork goes
+        through :meth:`edit`, which privatises the interface there, and
+        mutating *this* schema runs the CoW barrier, which privatises it
+        into any live fork first -- no write is ever visible across the
+        boundary.
 
         The fork's log remembers the origin log and the seq it branched
         at (with ``base_seq`` 0, marking a record-free fork), so
@@ -530,7 +545,7 @@ class Schema:
         share = duplicate._cow_share()
         for log in duplicate._cow_sources:
             log._cow_borrows.append(share)
-        duplicate._index.adopt_base_adjacency(self._index)
+        duplicate._use_store(self._index.fork_view(duplicate))
         return duplicate
 
     def release_cow(self) -> None:
@@ -581,7 +596,7 @@ class Schema:
         Spine and subscriber counters live under namespaced keys
         (``spine.seq``, ``index.hits``, ``validation.full`` ...).
         """
-        index = self._index.stats()
+        index = self._index
         if self._validation is not None:
             validation = self._validation.stats()
         else:
@@ -598,16 +613,16 @@ class Schema:
             "relationship_ends": sum(len(i.relationships) for i in self),
             "operations": sum(len(i.operations) for i in self),
             "supertype_links": sum(len(i.supertypes) for i in self),
-            "part_of_links": self._index.part_of_edge_count(),
-            "instance_of_links": self._index.instance_of_edge_count(),
+            "part_of_links": index.link_edge_count(_PART_OF),
+            "instance_of_links": index.link_edge_count(_INSTANCE_OF),
             "spine.seq": self._log.seq,
             "spine.records": len(self._log),
             "spine.subscribers": self._log.subscriber_count,
             "spine.lossy": int(self._log.lossy),
-            "index.hits": index["hits"],
-            "index.misses": index["misses"],
-            "index.rebuilds": index["rebuilds"],
-            "index.generation": index["generation"],
+            "index.hits": index.hits,
+            "index.misses": index.misses,
+            "index.rebuilds": index.rebuilds,
+            "index.generation": self._log.seq,
             "validation.clean_hits": validation["clean_hits"],
             "validation.full": validation["full_validations"],
             "validation.incremental": validation["incremental_validations"],

@@ -408,11 +408,11 @@ def link_successors(
     in :func:`~repro.model.index.scan_link_edges` order, read off the
     owner only when asked for: a search seeded at a few names never
     walks the whole schema.  It reads the interfaces, *not*
-    ``schema.part_of_edges()``: the latter answers from
-    :class:`~repro.model.index.SchemaIndex`, and the reference
-    specification must stay independent of the caches it verifies
-    (the ``independence`` lint pass enforces this).  The cache layer
-    keeps its own index-backed successor builders in
+    ``schema.part_of_edges()``: the latter answers from the columnar
+    graph store (:class:`~repro.model.columnar.ColumnarAdjacency`), and
+    the reference specification must stay independent of the caches it
+    verifies (the ``independence`` lint pass enforces this).  The cache
+    layer keeps its own store-backed successor builders in
     :mod:`repro.model.validation_cache`.
     """
     interfaces = schema.interfaces

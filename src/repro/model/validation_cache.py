@@ -32,16 +32,16 @@ From the journal the cache closes over the rule scopes declared in
 2. inheritance closure: seeds touched in an aspect of
    :data:`~repro.model.validation.DESCEND_ASPECTS` spread to their
    transitive subtypes (inherited attributes feed key and order-by
-   resolution), walked over the index's columnar child rows — which
+   resolution), walked over the graph store's ISA child rows — which
    dangling supertype names keep, so adding or removing a type reaches
    the subtrees that (un)resolved under it;
 3. reference closure: interfaces that reference any closed-over name
    are re-checked too (inverse declarations, order-by targets, and
    dangling references all read other interfaces).  The referencers come
-   from the index's reverse-reference map (``SchemaIndex.referencers_of``)
-   and so reflect the current schema; an interface that referenced a name
-   at the previous validation but no longer does was itself mutated, so
-   it is a seed already.
+   from the graph store's reverse-reference rows
+   (``Schema.index.referencers_of``) and so reflect the current schema;
+   an interface that referenced a name at the previous validation but
+   no longer does was itself mutated, so it is a seed already.
 
 Everything outside the closure provably yields the same issues as
 before, so its cached tuples are reused verbatim.
@@ -69,7 +69,7 @@ Assembly
 The issue list is rebuilt after every validation, but only from the
 interfaces that hold issues: the cache tracks the names whose slot
 tuples are non-empty and emits their slots sorted by declaration
-position (the index keeps one per name), then the cycle findings, then
+position (the graph store keeps one per name), then the cycle findings, then
 keys and order-by, then the multi-root findings by their members'
 smallest position.  An edit therefore costs O(changed + issues), never
 a walk over every type name.
@@ -82,9 +82,11 @@ step.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.model.mutation import Aspect
+from repro.model.relationships import RelationshipKind
 from repro.model.validation import (
     DESCEND_ASPECTS,
     INTERFACE_RULES,
@@ -102,6 +104,9 @@ from repro.model.validation import (
 
 if TYPE_CHECKING:
     from repro.model.schema import Schema
+
+_PART_OF = RelationshipKind.PART_OF
+_INSTANCE_OF = RelationshipKind.INSTANCE_OF
 
 #: Issue tuples of one interface, slot-aligned with ``INTERFACE_RULES``.
 _Slots = tuple[tuple[Issue, ...], ...]
@@ -143,36 +148,36 @@ def _isa_adjacency(schema: "Schema", name: str) -> Iterable[str]:
 def _part_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the aggregation graph."""
     index = schema.index
-    yield from index.parts_of(name)
-    yield from index.wholes_of(name)
+    yield from index.link_targets(_PART_OF, name)
+    yield from index.link_sources(_PART_OF, name)
 
 
 def _instance_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the instance-of graph."""
     index = schema.index
-    yield from index.instances_of(name)
-    yield from index.generics_of(name)
+    yield from index.link_targets(_INSTANCE_OF, name)
+    yield from index.link_sources(_INSTANCE_OF, name)
 
 
 def _part_of_successors_fast(
     schema: "Schema",
 ) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.link_successors`` for part-of.
+    """Store-backed twin of ``validation.link_successors`` for part-of.
 
     The reference spec reads a node's to-many ends off its interface
     (it must stay cache-independent); the cache reads one node's parts
-    off the index's link state, which lists a whole's parts in the same
+    off the store's link state, which lists a whole's parts in the same
     end order, so the two successor functions agree entry for entry.
     """
-    return schema.index.parts_of
+    return partial(schema.index.link_targets, _PART_OF)
 
 
 def _instance_of_successors_fast(
     schema: "Schema",
 ) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.link_successors`` for
+    """Store-backed twin of ``validation.link_successors`` for
     instance-of."""
-    return schema.index.instances_of
+    return partial(schema.index.link_targets, _INSTANCE_OF)
 
 
 _CYCLE_FAMILIES: tuple[_CycleFamily, ...] = (
@@ -412,9 +417,9 @@ class ValidationCache:
             ]
 
     def _descendants_of(self, roots: set[str]) -> set[str]:
-        """Transitive subtypes of *roots* (roots excluded) via the index.
+        """Transitive subtypes of *roots* (roots excluded) via the store.
 
-        Uses the index's incrementally maintained compact ISA adjacency,
+        Uses the graph store's incrementally maintained ISA child rows,
         so seeding the dirty closure never forces an O(N) subtype-map
         rebuild mid-plan.
         """

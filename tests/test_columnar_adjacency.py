@@ -1,6 +1,6 @@
 """Differential tests: flat-array adjacency vs the scan reference spec.
 
-The columnar store (``schema.index.adjacency``) is folded record by
+The columnar store (``schema.index``) is folded record by
 record from the mutation spine; :func:`scan_adjacency` derives the four
 maps it exports from the interfaces.  These tests require the store to
 be sound (``check_integrity``) and to equal the scan after *every*
@@ -25,7 +25,7 @@ from repro.workload.generator import (
 
 def _assert_agreement(schema: Schema) -> None:
     """The columnar store is sound and exports what a scan derives."""
-    columnar = schema.index.adjacency
+    columnar = schema.index
     assert columnar.check_integrity() == []
     parents, children, refs, referencers = scan_adjacency(schema)
     assert columnar.isa_parents_map() == parents
@@ -85,7 +85,7 @@ class TestDeleteAndIdReuse:
         return schema
 
     def test_leaf_delete_frees_its_id_for_reuse(self, schema):
-        adjacency = schema.index.adjacency
+        adjacency = schema.index
         adjacency.ensure_fresh()
         freed = adjacency.table.id_of("C")
         capacity = adjacency.table.capacity
@@ -100,7 +100,7 @@ class TestDeleteAndIdReuse:
         assert adjacency.table.capacity == capacity
 
     def test_dangling_supertype_keeps_the_id_alive(self, schema):
-        adjacency = schema.index.adjacency
+        adjacency = schema.index
         adjacency.ensure_fresh()
         a_id = adjacency.table.id_of("A")
         schema.remove_interface("A")  # B still declares supertype A
@@ -122,7 +122,7 @@ class TestDeleteAndIdReuse:
         schema.add_interface(InterfaceDef("R"))
         schema.get("C").set_supertypes(["A", "R"])
         _assert_agreement(schema)
-        adjacency = schema.index.adjacency
+        adjacency = schema.index
         assert adjacency.parents_of("C") == ("A", "R")
         assert adjacency.descendants_of("B") == set()
         schema.get("C").set_supertypes([])
@@ -130,7 +130,7 @@ class TestDeleteAndIdReuse:
         assert adjacency.parents_of("C") == ()
 
     def test_reused_id_does_not_leak_old_rows(self, schema):
-        adjacency = schema.index.adjacency
+        adjacency = schema.index
         adjacency.ensure_fresh()
         c_id = adjacency.table.id_of("C")
         schema.remove_interface("C")

@@ -89,7 +89,7 @@ class TestForkSharing:
         assert fork.descendants("Person") == {"Student"}
         assert fork.index.referencers_of("Course") == {"Student"}
         assert fork.parts("Person") == scan_parts(fork, "Person")
-        assert fork.index.adjacency.rebuilds == 0
+        assert fork.index.rebuilds == 0
 
     def test_parent_mutation_trips_the_fork_overlay_pin(self):
         parent = build_schema()
@@ -101,7 +101,7 @@ class TestForkSharing:
         # ... and a columnar query hits the overlay's base-version pin,
         # which privatises the columns with one full rebuild
         assert fork.descendants("Person") == {"Student"}
-        assert fork.index.adjacency.rebuilds == 1
+        assert fork.index.rebuilds == 1
         assert parent.subtypes("Person") == ["Student", "Staff"]
 
 

@@ -6,11 +6,14 @@ The acceptance bar: on the catalog schemas, every constraint family of
 provokes exactly the family it claims to demonstrate.
 """
 
+import random
+
 import pytest
 
-from repro.catalog import load
+from repro.catalog import SCHEMA_BUILDERS, load
 from repro.examples import CONSTRAINT_KINDS, significant_examples
 from repro.instances import check_population
+from repro.workload.generator import WorkloadSpec, generate_schema
 
 #: Catalog schemas that together exercise every constraint family.
 _SUBJECTS = ("university", "lumber_yard", "emsl_software", "acedb")
@@ -87,6 +90,67 @@ class TestSelection:
         first = [pair.render() for pair in significant_examples(schema)]
         second = [pair.render() for pair in significant_examples(schema)]
         assert first == second
+
+
+def _site_owner(pair) -> str:
+    """The interface owning *pair*'s site: ``Owner.end`` or
+    ``Owner key (...)``."""
+    return pair.subject.replace(" ", ".").split(".", 1)[0]
+
+
+def _filtered_whole_list(schema, interfaces) -> list:
+    """Reference selection: every pair of the whole schema, kept when its
+    owner is among *interfaces* (the selection before sites were read
+    off the named interfaces only)."""
+    named = set(interfaces)
+    return [
+        pair for pair in significant_examples(schema)
+        if _site_owner(pair) in named
+    ]
+
+
+def _comparable(pairs) -> list:
+    return [
+        (pair.kind, pair.subject, pair.description,
+         pair.witness.render(), pair.near_miss.render())
+        for pair in pairs
+    ]
+
+
+class TestChunkedSelection:
+    """``interfaces=`` reads sites off the named interfaces only; the
+    answer must equal filtering the whole-schema list by owner."""
+
+    @staticmethod
+    def _selections(schema, seed: int):
+        rng = random.Random(seed)
+        names = schema.type_names()
+        for size in (1, 3, max(1, len(names) // 2), len(names)):
+            chosen = rng.sample(names, min(size, len(names)))
+            # duplicates and undefined names are ignored
+            chosen += chosen[: len(chosen) // 2] + ["NoSuchType", ""]
+            rng.shuffle(chosen)
+            yield chosen
+
+    def _assert_selection_matches(self, schema, seed: int) -> None:
+        for chosen in self._selections(schema, seed):
+            assert _comparable(
+                significant_examples(schema, interfaces=chosen)
+            ) == _comparable(_filtered_whole_list(schema, chosen)), chosen
+
+    @pytest.mark.parametrize("subject", sorted(SCHEMA_BUILDERS))
+    def test_catalog_schemas(self, subject):
+        self._assert_selection_matches(load(subject), seed=len(subject))
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_generated_schemas(self, seed):
+        schema = generate_schema(WorkloadSpec(types=40, seed=seed))
+        self._assert_selection_matches(schema, seed)
+
+    def test_unknown_and_empty_selections_have_no_sites(self):
+        schema = load("university")
+        assert significant_examples(schema, interfaces=[]) == []
+        assert significant_examples(schema, interfaces=["NoSuchType"]) == []
 
 
 class TestRendering:

@@ -1,8 +1,9 @@
-"""SchemaIndex: memoized graph queries and their invalidation contract.
+"""The graph store behind ``Schema.index``: its queries and their
+invalidation contract.
 
 Three layers of coverage:
 
-* unit tests that the indexed queries equal the full-scan reference
+* unit tests that the store's queries equal the full-scan reference
   implementations (``repro.model.index.scan_*``) and that the
   generation counter is bumped by every mutating entry point;
 * the dangling-supertype resolution fixes (``ancestors`` /
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.model.attributes import Attribute
+from repro.model.columnar import ColumnarAdjacency
 from repro.model.index import (
     scan_aggregation_roots,
     scan_ancestors,
@@ -28,7 +30,6 @@ from repro.model.index import (
     scan_instance_of_roots,
     scan_link_edges,
     scan_parts,
-    scan_relationship_pairs,
     scan_subtypes,
     scan_wholes,
 )
@@ -44,11 +45,15 @@ from repro.workload.generator import (
 )
 
 
+_PART_OF = RelationshipKind.PART_OF
+_INSTANCE_OF = RelationshipKind.INSTANCE_OF
+
+
 def assert_index_matches_scan(schema: Schema) -> None:
     """Every indexed query equals its full-scan counterpart."""
     index = schema.index
-    part_edges = scan_link_edges(schema, RelationshipKind.PART_OF)
-    instance_edges = scan_link_edges(schema, RelationshipKind.INSTANCE_OF)
+    part_edges = scan_link_edges(schema, _PART_OF)
+    instance_edges = scan_link_edges(schema, _INSTANCE_OF)
     instances: dict[str, list[str]] = {}
     generics: dict[str, list[str]] = {}
     for generic, instance, _ in instance_edges:
@@ -61,8 +66,8 @@ def assert_index_matches_scan(schema: Schema) -> None:
         assert schema.ancestors(name) == scan_ancestors(schema, name)
         assert schema.parts(name) == scan_parts(schema, name)
         assert schema.wholes(name) == scan_wholes(schema, name)
-        assert index.instances_of(name) == instances.get(name, [])
-        assert index.generics_of(name) == generics.get(name, [])
+        assert index.link_targets(_INSTANCE_OF, name) == instances.get(name, [])
+        assert index.link_sources(_INSTANCE_OF, name) == generics.get(name, [])
         assert index.declaration_rank(name) == rank
         extent = schema.interfaces[name].extent
         if extent is not None:
@@ -71,16 +76,15 @@ def assert_index_matches_scan(schema: Schema) -> None:
         assert index.extent_owners(extent) == owners
     assert schema.part_of_edges() == part_edges
     assert schema.instance_of_edges() == instance_edges
-    assert index.part_of_edge_count() == len(part_edges)
-    assert index.instance_of_edge_count() == len(instance_edges)
+    assert index.link_edge_count(_PART_OF) == len(part_edges)
+    assert index.link_edge_count(_INSTANCE_OF) == len(instance_edges)
     assert index.declaration_order() == {
         name: rank for rank, name in enumerate(schema.type_names())
     }
     assert schema.generalization_roots() == scan_generalization_roots(schema)
     assert schema.aggregation_roots() == scan_aggregation_roots(schema)
     assert schema.instance_of_roots() == scan_instance_of_roots(schema)
-    assert schema.relationship_pairs() == scan_relationship_pairs(schema)
-    assert index.adjacency.check_integrity() == []
+    assert index.check_integrity() == []
 
 
 def _link(name, target, kind, to_many=True):
@@ -400,3 +404,101 @@ class TestInvalidationAcrossWorkspaceHistory:
         schema.touch()
         assert_index_matches_scan(schema)
         assert schema.index.stats()["rebuilds"] > rebuilds
+
+
+class TestOneFreshnessCheckPerQuery:
+    """Every public store query and every ``Schema`` graph method checks
+    the store's freshness exactly once, on a schema and on its forks;
+    the spine feeds each schema one store."""
+
+    @staticmethod
+    def _schemas():
+        base = generate_schema(
+            WorkloadSpec(types=30, seed=2, part_of_chain=8, instance_of_chain=5)
+        )
+        fork = base.fork("fork")
+        return {"base": base, "fork": fork, "fork-of-fork": fork.fork("f2")}
+
+    @staticmethod
+    def _probes(schema: Schema):
+        index = schema.index
+        names = schema.type_names()
+        roots = schema.generalization_roots()
+        name = roots[0] if roots else names[0]
+        extent = next(
+            (i.extent for i in schema if i.extent is not None), "no_extent"
+        )
+        return {
+            "parents_of": lambda: index.parents_of(name),
+            "children_of": lambda: index.children_of(name),
+            "subtypes_of": lambda: index.subtypes_of(name),
+            "descendants_of": lambda: index.descendants_of(name),
+            "descendants_closure": lambda: index.descendants_closure({name}),
+            "ancestors_of": lambda: index.ancestors_of(name),
+            "generalization_roots": index.generalization_roots,
+            "referencers_of": lambda: index.referencers_of(name),
+            "refs_of": lambda: index.refs_of(name),
+            "ends_targeting": lambda: index.ends_targeting(set(names[:5])),
+            "in_declaration_order": lambda: index.in_declaration_order(names),
+            "position_of": lambda: index.position_of(name),
+            "declaration_rank": lambda: index.declaration_rank(name),
+            "declaration_order": index.declaration_order,
+            "link_edges": lambda: index.link_edges(_PART_OF),
+            "link_edge_count": lambda: index.link_edge_count(_INSTANCE_OF),
+            "link_targets": lambda: index.link_targets(_PART_OF, name),
+            "link_sources": lambda: index.link_sources(_INSTANCE_OF, name),
+            "link_roots": lambda: index.link_roots(_PART_OF),
+            "extent_owners": lambda: index.extent_owners(extent),
+            "isa_parents_map": index.isa_parents_map,
+            "isa_children_map": index.isa_children_map,
+            "refs_of_map": index.refs_of_map,
+            "referencers_map": index.referencers_map,
+            "check_integrity": index.check_integrity,
+            "Schema.subtypes": lambda: schema.subtypes(name),
+            "Schema.ancestors": lambda: schema.ancestors(name),
+            "Schema.descendants": lambda: schema.descendants(name),
+            "Schema.generalization_roots": schema.generalization_roots,
+            "Schema.part_of_edges": schema.part_of_edges,
+            "Schema.instance_of_edges": schema.instance_of_edges,
+            "Schema.parts": lambda: schema.parts(name),
+            "Schema.wholes": lambda: schema.wholes(name),
+            "Schema.aggregation_roots": schema.aggregation_roots,
+            "Schema.instance_of_roots": schema.instance_of_roots,
+        }
+
+    def test_each_query_checks_freshness_once(self, monkeypatch):
+        calls = []
+        original = ColumnarAdjacency.ensure_fresh
+
+        def counting(store):
+            calls.append(store)
+            return original(store)
+
+        monkeypatch.setattr(ColumnarAdjacency, "ensure_fresh", counting)
+        for label, schema in self._schemas().items():
+            schema.get(schema.type_names()[1]).add_attribute(
+                Attribute("fresh_probe", ScalarType("long"))
+            )  # leaves an owner pending: a query may fold it, not re-check
+            for query, probe in self._probes(schema).items():
+                calls.clear()
+                probe()
+                assert len(calls) == 1, (label, query, len(calls))
+                assert calls[0] is schema.index, (label, query)
+
+    def test_the_spine_feeds_one_store_per_schema(self):
+        schemas = self._schemas()
+        base = schemas["base"]
+        for label, schema in schemas.items():
+            assert schema.stats()["spine.subscribers"] == 2, label
+            stores = [
+                getattr(subscriber, "__self__", None)
+                for subscriber in schema.log._subscribers
+            ]
+            assert stores.count(schema.index) == 1, label
+        fork, grandchild = schemas["fork"], schemas["fork-of-fork"]
+        assert fork.index._base is base.index  # the overlay view
+        assert grandchild.index._base is fork.index
+        assert base.index not in [
+            getattr(subscriber, "__self__", None)
+            for subscriber in fork.log._subscribers
+        ]

@@ -16,6 +16,7 @@ import pytest
 from repro.model.attributes import Attribute
 from repro.model.errors import ValidationError
 from repro.model.interface import InterfaceDef
+from repro.model.relationships import RelationshipKind
 from repro.model.types import scalar
 from repro.model.validation import validate_schema
 from repro.odl.parser import parse_schema
@@ -339,11 +340,13 @@ class TestEdgeCountAccessors:
         schema = generate_schema(
             WorkloadSpec(types=30, seed=2, part_of_chain=8, instance_of_chain=5)
         )
-        index = schema.index
-        assert index.part_of_edge_count() == len(schema.part_of_edges())
-        assert index.instance_of_edge_count() == len(schema.instance_of_edges())
-        assert index.part_of_edge_count() > 0
-        assert index.instance_of_edge_count() > 0
+        count = schema.index.link_edge_count
+        part_of = count(RelationshipKind.PART_OF)
+        instance_of = count(RelationshipKind.INSTANCE_OF)
+        assert part_of == len(schema.part_of_edges())
+        assert instance_of == len(schema.instance_of_edges())
+        assert part_of > 0
+        assert instance_of > 0
 
     def test_stats_report_edge_counts(self, small):
         stats = small.stats()

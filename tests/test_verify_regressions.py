@@ -17,11 +17,14 @@ from repro.model.fingerprint import (
     schema_fingerprint,
     schemas_equal,
 )
+from repro.model.interface import InterfaceDef
+from repro.model.schema import Schema
 from repro.ops.base import OperationError
 from repro.ops.composite import ExtractSupertype, IntroduceAbstractSupertype
 from repro.ops.language import parse_operation
 from repro.repository.workspace import Workspace
 from repro.verify.invariants import check_workspace
+from repro.workload.generator import WorkloadSpec, generate_schema
 
 
 def _apply(workspace, text, propagate=True):
@@ -185,6 +188,45 @@ class TestBareSupertypeDeleteStrandsKey:
         )
         workspace.apply(parse_operation("delete_supertype(Map, GenSuper0006)"))
         assert not check_workspace(workspace)
+
+
+class TestUndoneSupertypeDeleteKeepsParentOrder:
+    """``make fuzz`` seed 20 (``synthetic_14_20``): undoing a bare
+    supertype delete re-inserts the supertype at its old slot, and the
+    columnar parents row appended it instead, so ``columnar-vs-scan``
+    saw Type010's parents out of declaration order."""
+
+    def test_shrunk_reproducer(self):
+        workspace = Workspace(generate_schema(WorkloadSpec(
+            types=14, attributes_per_type=4, operations_per_type=1,
+            association_density=0.8, isa_fraction=0.3, part_of_chain=4,
+            instance_of_chain=3, isa_chain=0, hub_fanout=0, seed=20,
+        )))
+        for name, subtypes, lift in (
+            ("GenSuper0096", ("Type010", "Type006"), False),
+            ("GenSuper0099", ("Type010", "Type011"), True),
+        ):
+            workspace.apply_composite(
+                IntroduceAbstractSupertype(name, subtypes, lift)
+            )
+        _apply(workspace, "delete_supertype(Type010, GenSuper0096)",
+               propagate=False)
+        workspace.undo_last()
+        schema = workspace.schema
+        assert schema.index.parents_of("Type010") == tuple(
+            schema.interfaces["Type010"].supertypes
+        )
+        _drain_and_check(workspace)
+
+    def test_positioned_add_supertype_on_a_bare_schema(self):
+        schema = Schema("s")
+        for name in ("A", "B", "C"):
+            schema.add_interface(InterfaceDef(name))
+        schema.add_interface(InterfaceDef("D", supertypes=["A", "B"]))
+        schema.index.parents_of("D")  # fold the next record incrementally
+        schema.get("D").add_supertype("C", position=0)
+        assert schema.index.parents_of("D") == ("C", "A", "B")
+        assert schema.index.check_integrity() == []
 
 
 class TestWorkspaceAtomicityOnSchemaError:

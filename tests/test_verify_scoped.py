@@ -42,7 +42,7 @@ class TestTouchedClosure:
         # Subtypes inherit the touched type's derived state ...
         assert "Student" in closure
         # ... and definitions referencing it can dangle or re-pair.
-        assert set(schema.index.adjacency.referencers_of("Person")) <= set(
+        assert set(schema.index.referencers_of("Person")) <= set(
             closure
         )
 
@@ -241,7 +241,7 @@ class TestColumnarCorruption:
 
     @staticmethod
     def _store(schema):
-        adjacency = schema.index.adjacency
+        adjacency = schema.index
         adjacency.ensure_fresh()
         return adjacency, adjacency.table.id_of
 
