@@ -1,12 +1,20 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json bench bench-smoke bench-session-smoke fuzz fuzz-smoke \
-	fuzz-scoped-smoke
+.PHONY: test examples lint lint-json bench bench-smoke bench-session-smoke fuzz \
+	fuzz-smoke fuzz-scoped-smoke
 
 ## tier-1 suite (unit + integration under tests/)
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+## the shipped examples end to end (~2 s): each walks the whole
+## pipeline and exits non-zero on a failure, which fails the target
+examples:
+	@for example in examples/*.py; do \
+		echo "$$example"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example > /dev/null || exit 1; \
+	done
 
 ## static checks: the contract-lint framework (spine emission, CoW
 ## barriers, effect signatures, read scopes, reference-spec

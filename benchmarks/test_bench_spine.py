@@ -105,8 +105,6 @@ def test_bench_spine_overhead_per_op(report, record_bench):
         for step in plan:
             start = time.perf_counter()
             step.apply(schema, context)
-            names, aspects = step.validation_scope()
-            schema.note_validation_scope(names, aspects)
             schema.validation.validate()
             loop_time += time.perf_counter() - start
             steps += 1

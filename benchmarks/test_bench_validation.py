@@ -77,8 +77,6 @@ def _measure(size: int) -> tuple[float, float, dict[str, int], int]:
         plan = expand(incremental, operation, context)
         for step in plan:
             step.apply(incremental, context)
-            names, aspects = step.validation_scope()
-            incremental.note_validation_scope(names, aspects)
             step.apply(scanned, context)
             steps += 1
 

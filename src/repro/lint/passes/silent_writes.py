@@ -12,6 +12,11 @@ syntax outright across all of ``src/repro/``.
 Checked channels (see :func:`repro.lint.callgraph.attribute_writes`):
 plain/augmented assignment, subscript store/delete, attribute delete,
 and in-place container methods (``.append`` / ``.update`` / ...).
+Every function body is checked with the defs nested in it, so an
+operation's undo closure is held to the same rule as its ``apply``; a
+write there is reported against the closure
+(``Op.apply.<locals>.undo``).  That reach is what lets the mutator
+records be the validation cache's only source of dirt.
 
 A write is allowed only when it is lexically inside a method of the
 class that owns the field -- ``InterfaceDef`` for the six content
@@ -130,6 +135,27 @@ def _local_receiver_types(
     return types
 
 
+def _closure_holders(func: ast.AST, holder: str) -> dict[int, str]:
+    """``id(node)`` -> qualified name of the innermost def nested in
+    *func* that holds the node (``apply.<locals>.undo``); nodes of
+    *func*'s own body are absent, so a write in an undo closure is
+    reported against the closure, not the method returning it."""
+    holders: dict[int, str] = {}
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{name}.<locals>.{child.name}"
+                for descendant in ast.walk(child):
+                    holders[id(descendant)] = inner  # deeper defs overwrite
+                visit(child, inner)
+            else:
+                visit(child, name)
+
+    visit(func, holder)
+    return holders
+
+
 def silent_write_findings(codebase: Codebase) -> list[Finding]:
     findings: list[Finding] = []
     for module_name in sorted(codebase.modules):
@@ -140,6 +166,8 @@ def silent_write_findings(codebase: Codebase) -> list[Finding]:
                 _own_field_names(class_node) if class_node is not None else set()
             )
             receiver_types = _local_receiver_types(codebase, info, func)
+            holder = f"{class_name}.{func.name}" if class_name else func.name
+            closures = _closure_holders(func, holder)
             for stmt, receiver, attr, channel in attribute_writes(func):
                 if attr not in GUARDED_ATTRS:
                     continue
@@ -167,15 +195,12 @@ def silent_write_findings(codebase: Codebase) -> list[Finding]:
                 owners = sorted(
                     owner for owner, attrs in MODEL_OWNERS.items() if attr in attrs
                 )
-                holder = (
-                    f"{class_name}.{func.name}" if class_name else func.name
-                )
                 findings.append(
                     Finding(
                         rule="silent-write",
                         path=info.path,
                         line=stmt.lineno,
-                        symbol=f"{module_name}:{holder}",
+                        symbol=f"{module_name}:{closures.get(id(stmt), holder)}",
                         message=(
                             f"writes .{attr} via {channel} outside "
                             f"{' / '.join(owners)}; model content must change "

@@ -18,9 +18,10 @@ schemas pay no Python-object overhead per node and per edge:
   outgoing references, and incoming references -- fed incrementally
   from the schema's mutation spine (it is the spine's subscriber).
   Beside them it keeps the rest of the state an edit queries: a
-  declaration position per id, the owners of to-many part-of /
-  instance-of ends with their reverse map, and the owners of each
-  extent name.
+  declaration position per id (renumbered from the schema's order when
+  a type is inserted before the end or the whole order changes), the
+  owners of to-many part-of / instance-of ends with their reverse map,
+  and the owners of each extent name.
 
 Each record re-derives only its own owner, so an edit costs
 O(changed), and every query answers in O(result): results that must
@@ -181,9 +182,11 @@ class ColumnarAdjacency:
 
     * ``_position[i]`` -- declaration sort key of defined id *i*:
       appended on ``add_interface``, dropped on ``remove_interface``,
-      renumbered on ``reorder_interfaces`` (a record that is O(types)
-      itself); ``_order`` holds the live keys ascending, so a rank is
-      one bisect;
+      renumbered from the schema's order on ``reorder_interfaces`` and
+      on an ``add_interface`` that carries a rank (an insert before the
+      end: the record holds one int, the renumbering is the store's
+      own O(types) work); ``_order`` holds the live keys ascending, so
+      a rank is one bisect;
     * ``_links[kind]`` -- owner -> targets of its to-many ends of a
       part-of / instance-of kind (the owners are the keys), with
       ``_linked_from[kind]`` the reverse (target -> owners, one entry
@@ -290,8 +293,6 @@ class ColumnarAdjacency:
     def observe(self, record: MutationRecord) -> None:
         """Fold one spine record (this store is the spine's subscriber)."""
         kind = record.kind
-        if kind == "scope":
-            return
         self.version += 1
         if self._base is not None and not self._dirty and self._overlay_stale():
             self.mark_dirty()  # never fold into rows the base has edited
@@ -305,7 +306,10 @@ class ColumnarAdjacency:
                 self.mark_dirty()
             return
         if kind == "add_interface":
-            self._define(self._schema.interfaces[name])
+            interfaces = self._schema.interfaces
+            self._define(interfaces[name])
+            if record.payload["position"] is not None:
+                self._renumber(interfaces)  # inserted before the end
             self._pending.add(name)
             return
         if kind == "remove_interface":
@@ -529,7 +533,8 @@ class ColumnarAdjacency:
                 self._release(pid)
 
     def _renumber(self, order: Iterable[str]) -> None:
-        """Positions 0..n-1 in *order* (the reorder record's payload)."""
+        """Positions 0..n-1 in *order* (a reorder record's payload, or
+        the schema's own order after a positioned insert)."""
         self._own_state()
         position = self._position
         id_of = self.table.id_of

@@ -20,7 +20,12 @@ Kovacs — so the model layer has a single source of change truth:
   schema from an empty one, which the ``spine-replay`` invariant checks
   against the live fingerprint after fuzz steps, and which gives
   snapshots (a seq watermark) and record-level diffs
-  (:func:`repro.analysis.diff.schema_diff`) for free.
+  (:func:`repro.analysis.diff.schema_diff`) for free;
+* the mutator records are the *only* source of dirt, and each holds
+  only what its mutator changed: no record restates an operation's
+  declared scope, and re-inserting a type at its old rank (the undo of
+  a type deletion) is one ``add_interface`` record carrying the rank,
+  so a workspace's history grows with its edits, not with the schema.
 
 Adding a cache layer no longer touches any mutator: subscribe to the
 log (or stamp against ``seq``) and derive your state from the records —
@@ -44,8 +49,8 @@ class Aspect(enum.StrEnum):
 
     The single vocabulary shared by mutator emissions, the validation
     rules' read scopes (:data:`repro.model.validation.RULE_SCOPES`) and
-    the operations' declared write scopes
-    (:meth:`repro.ops.base.SchemaOperation.validation_scope`).  Being an
+    the operations' declared write aspects
+    (:attr:`repro.ops.base.SchemaOperation.touched_aspects`).  Being an
     enum, a typo'd aspect is an ``AttributeError`` at import time, not a
     silently stale cache; being a ``StrEnum``, members compare and hash
     like their legacy string values.
@@ -79,7 +84,7 @@ def aspect_for_kind(kind: RelationshipKind) -> Aspect:
     return _KIND_ASPECTS[kind]
 
 
-#: Empty aspect set, shared so bookkeeping records allocate nothing.
+#: Empty aspect set, shared by records that name no facet (``touch``).
 NO_ASPECTS: frozenset[Aspect] = frozenset()
 
 
@@ -89,7 +94,8 @@ class MutationRecord:
 
     ``kind`` names the mutator that ran (``"add_attribute"``,
     ``"remove_interface"``, ...), ``interface`` the owning type for
-    interface-level mutations (``None`` for whole-schema bookkeeping),
+    interface-level mutations (``None`` for whole-schema records:
+    ``reorder_interfaces`` and ``touch``),
     ``aspects`` the facets it changed, ``payload`` the arguments needed
     to replay it, and ``seq`` its position on the spine.
     """
@@ -112,9 +118,7 @@ class MutationRecord:
         if self.interface is not None:
             yield self.interface
         kind = self.kind
-        if kind == "scope":
-            yield from self.payload.get("names", ())
-        elif kind in ("add_supertype", "remove_supertype"):
+        if kind in ("add_supertype", "remove_supertype"):
             supertype = self.payload.get("supertype")
             if supertype is not None:
                 yield supertype
@@ -348,7 +352,8 @@ class MutationLog:
 
 
 def _replay_add_interface(schema: "Schema", record: MutationRecord) -> None:
-    schema.add_interface(record.payload["interface"].copy())
+    payload = record.payload
+    schema.add_interface(payload["interface"].copy(), payload["position"])
 
 
 def _replay_remove_interface(schema: "Schema", record: MutationRecord) -> None:
@@ -357,10 +362,6 @@ def _replay_remove_interface(schema: "Schema", record: MutationRecord) -> None:
 
 def _replay_reorder_interfaces(schema: "Schema", record: MutationRecord) -> None:
     schema.reorder_interfaces(list(record.payload["order"]))
-
-
-def _replay_noop(schema: "Schema", record: MutationRecord) -> None:
-    """Bookkeeping records (declared op scopes) change no content."""
 
 
 def _interface_replayer(method: str, *arg_keys: str):
@@ -375,7 +376,6 @@ _REPLAYERS: dict[str, Callable[["Schema", MutationRecord], None]] = {
     "add_interface": _replay_add_interface,
     "remove_interface": _replay_remove_interface,
     "reorder_interfaces": _replay_reorder_interfaces,
-    "scope": _replay_noop,
     "add_supertype": _interface_replayer("add_supertype", "supertype", "position"),
     "remove_supertype": _interface_replayer("remove_supertype", "supertype"),
     "set_supertypes": _interface_replayer("set_supertypes", "supertypes"),
@@ -418,7 +418,8 @@ class DirtyJournal:
 
     Pure derived bookkeeping over the mutation stream: interface names
     changed (with the aspects that moved), names added/removed, whether
-    declaration order moved, and whether an out-of-band
+    declaration order moved (a whole-order ``reorder_interfaces``, or an
+    interface inserted before the end), and whether an out-of-band
     ``Schema.touch()`` forced a full invalidation.  The journal is a
     :class:`MutationLog` subscriber — :meth:`observe` folds each record
     in — so every note accompanies a seq bump and a schema whose
@@ -442,22 +443,14 @@ class DirtyJournal:
         kind = record.kind
         if kind == "add_interface":
             self.added.add(record.interface)
+            if record.payload["position"] is not None:
+                self.order_changed = True
         elif kind == "remove_interface":
             self.removed.add(record.interface)
         elif kind == "reorder_interfaces":
             self.order_changed = True
         elif kind == "touch":
             self.full = True
-        elif kind == "scope":
-            payload = record.payload
-            for name in payload["added"]:
-                self.added.add(name)
-            for name in payload["removed"]:
-                self.removed.add(name)
-            aspects = payload["aspects"]
-            if aspects:
-                for name in payload["names"]:
-                    self.touched.setdefault(name, set()).update(aspects)
         elif record.interface is not None:
             self.touched.setdefault(record.interface, set()).update(
                 record.aspects

@@ -158,7 +158,9 @@ class Schema:
             self._cow_borrow = _SchemaShare(self._cow_anchor)
         return self._cow_borrow
 
-    def _adopt(self, interface: InterfaceDef) -> None:
+    def _adopt(
+        self, interface: InterfaceDef, position: int | None = None
+    ) -> None:
         """Take the interface as schema content and record the membership.
 
         An interface nobody else owns is attached to this spine
@@ -171,13 +173,14 @@ class Schema:
         an eager copy; a :class:`~repro.model.interface._PayloadClaim`
         freezes it to the as-added state on the interface's first
         mutation, so replay and delete-undo stay exact while unmutated
-        adds cost nothing.
+        adds cost nothing.  ``position`` is the declaration rank the
+        interface was inserted at, ``None`` for an append.
         """
         if interface._spines and self._log not in interface._spines:
             interface.register_claim(self._cow_share())
         else:
             interface._attach_spine(self._log)
-        payload = {"interface": interface}
+        payload = {"interface": interface, "position": position}
         interface.register_claim(_PayloadClaim(payload))
         self._log.emit(
             "add_interface",
@@ -199,65 +202,39 @@ class Schema:
         """
         self._log.emit("touch")
 
-    def touch_order(self) -> None:
-        """Invalidate after reordering ``interfaces`` without edits.
-
-        Restoring declaration order on undo changes no definition, only
-        the order issues are reported in, so the validation cache only
-        needs to re-assemble (and re-run order-sensitive tie-breaks),
-        not re-check any interface.  Emits the already-applied order so
-        the record stays replayable.
-        """
-        self._log.emit(
-            "reorder_interfaces",
-            aspects=_ORDER,
-            payload={"order": tuple(self.interfaces)},
-        )
-
-    def note_validation_scope(
-        self, names: Iterable[str], aspects: frozenset[Aspect]
-    ) -> None:
-        """Record an operation's declared read/write scope on the spine.
-
-        Belt-and-suspenders over the mutator-level records: operations
-        declare the types and aspects they may have touched
-        (``SchemaOperation.validation_scope``), and the workspace feeds
-        that here so the dirty set is correct even for operations whose
-        undo closures mutate state out of band.  Membership is resolved
-        against current content at emit time so the journal (and any
-        other subscriber) can stay schema-agnostic.
-        """
-        names = tuple(names)
-        added: tuple[str, ...] = ()
-        removed: tuple[str, ...] = ()
-        rest = aspects
-        if Aspect.MEMBERSHIP in aspects:
-            added = tuple(n for n in names if n in self.interfaces)
-            removed = tuple(n for n in names if n not in self.interfaces)
-            rest = aspects - _MEMBERSHIP
-        self._log.emit(
-            "scope",
-            aspects=aspects,
-            payload={
-                "names": names,
-                "aspects": rest,
-                "added": added,
-                "removed": removed,
-            },
-        )
-
     # ------------------------------------------------------------------
     # Interface management
     # ------------------------------------------------------------------
 
-    def add_interface(self, interface: InterfaceDef) -> None:
-        """Add an interface; the type name must be free in the schema."""
-        if interface.name in self.interfaces:
+    def add_interface(
+        self, interface: InterfaceDef, position: int | None = None
+    ) -> None:
+        """Add an interface; the type name must be free in the schema.
+
+        It is appended to the declaration order, or inserted at rank
+        *position* (the undo of a type deletion restores the slot the
+        type was deleted from).  Either way the spine gets one
+        ``add_interface`` record that carries the rank, not the order.
+        """
+        name = interface.name
+        interfaces = self.interfaces
+        if name in interfaces:
             raise DuplicateNameError(
-                f"schema {self.name!r} already defines {interface.name!r}"
+                f"schema {self.name!r} already defines {name!r}"
             )
-        self.interfaces[interface.name] = interface
-        self._adopt(interface)
+        if position is None or position == len(interfaces):
+            interfaces[name] = interface
+            position = None
+        elif 0 <= position < len(interfaces):
+            items = list(interfaces.items())
+            items.insert(position, (name, interface))
+            self.interfaces = dict(items)
+        else:
+            raise InvalidModelError(
+                f"schema {self.name!r}: position {position} is outside "
+                f"0..{len(interfaces)}"
+            )
+        self._adopt(interface, position)
 
     def remove_interface(self, name: str) -> InterfaceDef:
         """Remove and return the interface called *name*.
@@ -282,9 +259,12 @@ class Schema:
         return removed
 
     def reorder_interfaces(self, order: list[str]) -> None:
-        """Rebuild ``interfaces`` in *order* (undo of a type deletion).
+        """Rebuild ``interfaces`` in *order*, a whole-order change.
 
-        *order* must be a permutation of the current type names.
+        *order* must be a permutation of the current type names.  The
+        record holds all of it, which is O(changed) only because every
+        position may move; re-inserting one type at its old rank is
+        :meth:`add_interface` with a ``position``.
         """
         if set(order) != set(self.interfaces) or len(order) != len(
             self.interfaces

@@ -20,9 +20,11 @@ subscriber that folds every emitted
 :class:`~repro.model.mutation.MutationRecord` into its dirty set —
 interface-level mutator records carry the owner name plus the
 :class:`~repro.model.mutation.Aspect` members they changed, membership
-records mark added/removed names, and operations additionally declare
-their scope via :meth:`Schema.note_validation_scope` (a ``scope``
-record on the same spine).
+records mark added/removed names (and an insert before the end marks
+the order moved).  The mutator records are the only source: an
+operation's apply and its undo closure change the model only through
+mutators (the ``spine`` and ``silent-writes`` lint passes prove it), so
+nothing an operation declares is fed in beside them.
 
 From the journal the cache closes over the rule scopes declared in
 :data:`repro.model.validation.RULE_SCOPES`:

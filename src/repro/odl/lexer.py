@@ -7,8 +7,8 @@ the ODL grammar (including ``::`` for inverse traversal paths).  Blanks,
 leading part of the same match.  The pattern ends in an empty
 alternative, so every match is either a token or the offset where
 scanning stops (a bad character, an unterminated ``/*``, the end of the
-text), and ``finditer`` drives the cursor: no Python code runs per
-character.  Identifier values are interned, so every name a parse
+text), and the pattern's scanner drives the cursor: no Python code runs
+per character.  Identifier values are interned, so every name a parse
 stores -- type, attribute, relationship path, inverse, extent,
 parameter -- is one string object per distinct name.
 
@@ -141,7 +141,9 @@ class TokenStream:
 
     def __init__(self, text: str, start: int = 0) -> None:
         self._text = text
-        self._next = _SCAN.finditer(text, start).__next__
+        # What ``finditer`` does in C, without the fresh ``"search"``
+        # string it leaves in the type attribute cache per call.
+        self._next = iter(_SCAN.scanner(text, start).search, None).__next__
         #: ``(kind, value, start)`` of the tokens after the current one
         #: already scanned by the lookahead.
         self._ahead: list[tuple[str, str, int]] = []
@@ -175,7 +177,7 @@ class TokenStream:
 
     def _fail(self, message: str, start: int) -> NoReturn:
         """Raise the lexical error at *start*, and make every later scan
-        raise it again: ``finditer`` has already moved past the bad
+        raise it again: the scanner has already moved past the bad
         text, so the stream must never resume after it."""
         self._next = lambda: self._fail(message, start)
         raise self.error(message, start)

@@ -24,7 +24,12 @@ Class attributes declare each operation's place in the paper's tables:
 * ``action`` -- ``add`` / ``delete`` / ``modify``;
 * ``admissible_in`` -- the concept schema types in which the operation
   may be issued (the Table 1 matrix, materialised in
-  :mod:`repro.ops.registry`).
+  :mod:`repro.ops.registry`);
+* ``touched_aspects`` -- the aspects ``apply`` and its undo closure may
+  change on ``affected_types()``; together they give the default effect
+  signature (:mod:`repro.ops.effects`).  They feed no cache: what an
+  applied or undone operation dirtied is read off the mutator records
+  it emitted (DESIGN.md §5d).
 """
 
 from __future__ import annotations
@@ -123,9 +128,9 @@ class SchemaOperation(abc.ABC):
     admissible_in: ClassVar[frozenset[ConceptKind]]
     #: :class:`~repro.model.mutation.Aspect` members this operation may
     #: change on its affected types.  The default claims everything;
-    #: concrete operations narrow it so incremental validation can skip
-    #: rules whose read scope is disjoint (see
-    #: :data:`repro.model.validation.RULE_SCOPES`).
+    #: concrete operations narrow it, which narrows the default effect
+    #: signature; the ``effects`` lint pass proves it covers every
+    #: mutator ``apply`` and its undo closure can reach.
     touched_aspects: ClassVar[frozenset[Aspect]] = ALL_ASPECTS
     #: True for operations that never change which populations a schema
     #: admits (operation signatures, extent renames, pure reorderings of
@@ -157,27 +162,17 @@ class SchemaOperation(abc.ABC):
     def affected_types(self) -> tuple[str, ...]:
         """Interface names this operation touches (for impact/mapping)."""
 
-    def validation_scope(self) -> tuple[tuple[str, ...], frozenset[Aspect]]:
-        """(affected type names, aspects) for dirty-set derivation.
-
-        The workspace feeds this to
-        :meth:`repro.model.schema.Schema.note_validation_scope` after a
-        successful apply/undo/redo, as a declarative complement to the
-        mutator-level spine records.
-        """
-        return self.affected_types(), self.touched_aspects
-
     # ------------------------------------------------------------------
     # Effect signatures (static plan analysis, repro.analysis.plan)
     # ------------------------------------------------------------------
     #
-    # The default signature is derived from the validation-scope
-    # machinery above: the op may write every declared aspect of every
-    # affected type, reads what it writes, and requires each affected
-    # name to exist.  Concrete operations narrow the hooks below; the
-    # precision contract (writes/reads over-approximate, requires
-    # under-approximates, creates/deletes exact) is documented in
-    # :mod:`repro.ops.effects`.
+    # The default signature is derived from ``affected_types()`` and
+    # ``touched_aspects``: the op may write every declared aspect of
+    # every affected type, reads what it writes, and requires each
+    # affected name to exist.  Concrete operations narrow the hooks
+    # below; the precision contract (writes/reads over-approximate,
+    # requires under-approximates, creates/deletes exact) is documented
+    # in :mod:`repro.ops.effects`.
 
     def created_names(self) -> tuple[str, ...]:
         """Interface names this operation introduces into the schema."""

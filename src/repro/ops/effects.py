@@ -9,13 +9,13 @@ reads while validating, and how it changes the schema's name bindings
 
 Signatures are the substrate of :mod:`repro.analysis.plan` -- the
 def-use/conflict graph and the pre-flight diagnostics are computed
-from them.  They are *derived
-from* the existing ``validation_scope()`` machinery (the default write
-footprint is ``affected_types() x touched_aspects``) and *cross-checked
-against* it: :func:`signature_scope_violations` asserts that no
-declared write escapes the scope the incremental validator is told
-about, and the ``effects`` lint pass verifies that the declared
-aspects cover every mutator kind ``apply``/``undo`` can emit.
+from them.  They are *derived from* the operation's declared
+``affected_types()`` and ``touched_aspects`` (the default write
+footprint is their product) and *cross-checked against* them:
+:func:`signature_scope_violations` asserts that no overridden write
+escapes those declarations, and the ``effects`` lint pass verifies
+that the declared aspects cover every mutator kind ``apply``/``undo``
+can emit.
 
 Precision contract (what the analyzer is allowed to assume):
 
@@ -211,30 +211,31 @@ class EffectSignature:
 
 
 def signature_scope_violations(operation) -> list[str]:
-    """Cross-check a signature against ``validation_scope()``.
+    """Cross-check a signature against the operation's declarations.
 
-    The incremental validator trusts ``validation_scope()`` to name
-    every type an operation may dirty; a signature claiming writes
-    outside that scope would mean one of the two declarations is wrong.
-    Returns human-readable violation strings (empty when consistent).
-    MEMBERSHIP writes are exempt from the aspect check -- the scope
-    tuple describes per-interface dirt, while membership is resolved
-    schema-wide by ``note_validation_scope``.
+    ``affected_types()`` names every type an operation touches and
+    ``touched_aspects`` every aspect it may change there; a signature
+    claiming writes outside them would mean one of the declarations is
+    wrong.  Returns human-readable violation strings (empty when
+    consistent).  MEMBERSHIP writes are exempt from the aspect check --
+    the aspects describe per-interface changes, while a membership
+    write is a name binding, checked against the names.
     """
-    names, aspects = operation.validation_scope()
+    names = operation.affected_types()
+    aspects = operation.touched_aspects
     signature = operation.effect_signature()
     violations: list[str] = []
     allowed_names = set(names) | {WILDCARD}
     for name, aspect in signature.writes:
         if name == WILDCARD:
             # Wildcard writes over-approximate propagation cascades;
-            # each cascade op carries its own (checked) scope at apply
-            # time, so they are outside the scope tuple by design.
+            # each cascade op carries its own (checked) declarations, so
+            # they are outside the affected types by design.
             continue
         if name not in allowed_names:
             violations.append(
                 f"{type(operation).__name__} writes ({name}, {aspect}) "
-                f"but validation_scope only names {sorted(names)}"
+                f"but affected_types only names {sorted(names)}"
             )
         if aspect is not Aspect.MEMBERSHIP and aspect not in aspects:
             violations.append(
@@ -245,6 +246,6 @@ def signature_scope_violations(operation) -> list[str]:
         if name not in allowed_names:
             violations.append(
                 f"{type(operation).__name__} binds name {name!r} "
-                f"but validation_scope only names {sorted(names)}"
+                f"but affected_types only names {sorted(names)}"
             )
     return violations

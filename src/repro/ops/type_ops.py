@@ -119,8 +119,7 @@ class DeleteTypeDefinition(SchemaOperation):
         removed = schema.remove_interface(self.typename)
 
         def undo() -> None:
-            schema.add_interface(removed)
-            _restore_position(schema, self.typename, position)
+            schema.add_interface(removed, position)
 
         return undo
 
@@ -143,11 +142,3 @@ class DeleteTypeDefinition(SchemaOperation):
     def read_footprint(self) -> frozenset[tuple[str, Aspect]]:
         # The reference check scans every interface for uses of the name.
         return frozenset((WILDCARD, aspect) for aspect in ALL_ASPECTS)
-
-
-def _restore_position(schema: Schema, name: str, position: int) -> None:
-    """Re-order the interface dict so undo restores declaration order."""
-    names = schema.type_names()
-    names.remove(name)
-    names.insert(position, name)
-    schema.reorder_interfaces(names)

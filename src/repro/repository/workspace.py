@@ -117,18 +117,6 @@ class Workspace:
         if self.validate_each_step:
             self.issues = self.schema.validation.validate()
 
-    def _note_scopes(self, plan: list[SchemaOperation]) -> None:
-        """Feed each step's declared scope into the schema's journal.
-
-        The interface-level mutator hooks already record precise dirt;
-        the operations' declared (types, aspects) scopes are noted as
-        well so out-of-band effects (undo closures, future operations
-        that bypass a mutator) stay covered.
-        """
-        for step in plan:
-            names, aspects = step.validation_scope()
-            self.schema.note_validation_scope(names, aspects)
-
     # ------------------------------------------------------------------
     # Applying operations
     # ------------------------------------------------------------------
@@ -261,7 +249,6 @@ class Workspace:
                     for step in plan
                     if step is not operation
                 )
-                self._note_scopes(plan)
                 entries.append(LogEntry(
                     requested=operation,
                     plan=plan,
@@ -274,7 +261,6 @@ class Workspace:
             for entry in reversed(entries):
                 for undo in reversed(entry.undos):
                     undo()
-                self._note_scopes(entry.plan)
             raise
         if entries:  # an empty plan changes nothing and keeps the redo stack
             self.log.extend(entries)
@@ -340,7 +326,6 @@ class Workspace:
         for undo in reversed(entry.undos):
             undo()
         self._redo_stack.append(entry)
-        self._note_scopes(entry.plan)
         self._refresh_issues()
         return entry
 
@@ -374,7 +359,6 @@ class Workspace:
         except BaseException:
             for undo in reversed(undos):
                 undo()
-            self._note_scopes(entry.plan)
             raise
         fresh = LogEntry(
             requested=entry.requested,
@@ -385,7 +369,6 @@ class Workspace:
             propagated=entry.propagated,
         )
         self.log.append(fresh)
-        self._note_scopes(entry.plan)
         return fresh
 
     # ------------------------------------------------------------------

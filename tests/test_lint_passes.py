@@ -354,3 +354,31 @@ def test_silent_writes_on_shipped_tree_are_all_baselined():
     new, _baselined, _stale = baseline.split(findings)
     assert new == []
     assert baseline.errors == []
+
+
+UNDO_CLOSURE_FIXTURE = '''
+class RenameAttribute:
+    def apply(self, schema, context):
+        interface = schema.edit(self.typename)
+        attribute = interface.attributes[self.old]
+        interface.remove_attribute(self.old)
+        interface.add_attribute(attribute.renamed(self.new))
+
+        def undo():
+            interface.remove_attribute(self.new)
+            interface.attributes[self.old] = attribute
+
+        return undo
+'''
+
+
+def test_silent_write_in_an_undo_closure_names_the_closure():
+    codebase = Codebase.from_sources({"fixture_ops": UNDO_CLOSURE_FIXTURE})
+    findings = silent_write_findings(codebase)
+    assert len(findings) == 1
+    (finding,) = findings
+    assert finding.rule == "silent-write"
+    assert finding.symbol == "fixture_ops:RenameAttribute.apply.<locals>.undo"
+    assert finding.line == UNDO_CLOSURE_FIXTURE.splitlines().index(
+        "            interface.attributes[self.old] = attribute"
+    ) + 1

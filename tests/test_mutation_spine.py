@@ -9,7 +9,7 @@ the seq-stamped memo, journal folding, and the Aspect vocabulary.
 import pytest
 
 from repro.model.attributes import Attribute
-from repro.model.errors import UnknownPropertyError
+from repro.model.errors import InvalidModelError, UnknownPropertyError
 from repro.model.fingerprint import (
     memoized_schema_fingerprint,
     schema_fingerprint,
@@ -136,11 +136,39 @@ class TestReplay:
         with pytest.raises(ValueError):
             small.log.replay()
 
-    def test_touch_order_is_replayable(self, small):
-        small.touch_order()
+    def test_positioned_add_is_replayable(self, small):
+        small.add_interface(InterfaceDef("Project"), 1)
+        small.add_interface(InterfaceDef("Audit"), 0)
+        assert small.type_names()[:3] == ["Audit", "Person", "Project"]
         assert small.log.replayable
         rebuilt = small.log.replay()
         assert rebuilt.type_names() == small.type_names()
+        assert schema_fingerprint(rebuilt) == schema_fingerprint(small)
+
+    def test_positioned_add_record_carries_the_rank_not_the_order(self, small):
+        small.add_interface(InterfaceDef("Project"), 1)
+        small.add_interface(InterfaceDef("Audit"))
+        inserted, appended = small.log.records[-2:]
+        assert (inserted.kind, inserted.payload["position"]) == (
+            "add_interface", 1,
+        )
+        assert appended.payload["position"] is None
+        assert set(inserted.payload) == {"interface", "position"}
+
+    def test_add_at_the_end_is_an_append(self, small):
+        count = len(small)
+        small.add_interface(InterfaceDef("Project"), count)
+        assert small.type_names()[-1] == "Project"
+        assert small.log.records[-1].payload["position"] is None
+
+    def test_position_out_of_range_is_rejected(self, small):
+        seq = small.log.seq
+        with pytest.raises(InvalidModelError):
+            small.add_interface(InterfaceDef("Project"), len(small) + 1)
+        with pytest.raises(InvalidModelError):
+            small.add_interface(InterfaceDef("Project"), -1)
+        assert "Project" not in small
+        assert small.log.seq == seq
 
 
 class TestMemo:
@@ -188,21 +216,19 @@ class TestDirtyJournal:
 
     def test_reorder_and_touch_fold(self, small):
         journal = self.fold(small)
-        small.touch_order()
+        small.reorder_interfaces(small.type_names())
         assert journal.order_changed
         small.touch()
         assert journal.full
 
-    def test_scope_record_splits_membership_by_presence(self, small):
+    def test_only_an_insert_before_the_end_moves_the_order(self, small):
         journal = self.fold(small)
-        small.note_validation_scope(
-            ("Person", "Ghost"),
-            frozenset({Aspect.MEMBERSHIP, Aspect.ATTRS}),
-        )
-        assert journal.added == {"Person"}
-        assert journal.removed == {"Ghost"}
-        assert journal.touched["Person"] == {Aspect.ATTRS}
-        assert journal.touched["Ghost"] == {Aspect.ATTRS}
+        small.add_interface(InterfaceDef("Project"))
+        assert journal.added == {"Project"}
+        assert not journal.order_changed
+        small.add_interface(InterfaceDef("Audit"), 0)
+        assert journal.added == {"Project", "Audit"}
+        assert journal.order_changed
 
     def test_schema_journal_cleared_by_validation(self, small):
         small.get("Person").set_extent("persons")

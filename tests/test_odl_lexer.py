@@ -644,3 +644,33 @@ class TestMutatedInputOnlyRaisesReproError:
             lambda text: check_text(text, "mutated"),
             _mutate(print_schema(schema), mutations),
         )
+
+
+class TestTokenStreamRetainsNothing:
+    def test_parses_retain_no_block_from_the_scanner_line(self):
+        """A finished parse leaves nothing allocated by the stream's
+        scanner set-up: ``finditer`` there left a fresh ``"search"``
+        string per stream in the interpreter's type attribute cache."""
+        import inspect
+        import tracemalloc
+
+        from repro.odl import lexer
+
+        source, first = inspect.getsourcelines(TokenStream.__init__)
+        line = first + next(
+            offset for offset, text in enumerate(source) if "_SCAN." in text
+        )
+        text = "add_attribute(Person, string(20), nickname)"
+        for _ in range(50):  # warm-up: caches that fill once may fill
+            parse_operation(text)
+        tracemalloc.start()
+        try:
+            for _ in range(500):
+                parse_operation(text)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = snapshot.filter_traces(
+            [tracemalloc.Filter(True, lexer.__file__, line)]
+        ).statistics("lineno")
+        assert retained == []

@@ -1,10 +1,10 @@
 """Tests for the static plan analyzer (:mod:`repro.analysis.plan`).
 
 These pin the analyzer's contract: effect signatures stay consistent
-with ``validation_scope()``, pre-flight diagnostics are exact (every
-one reproduces as a dynamic failure), the conflict graph has the
-expected edges, and ``Workspace.apply_plan`` applies the plan verbatim
-and all-or-nothing.
+with each operation's declared affected types and aspects, pre-flight
+diagnostics are exact (every one reproduces as a dynamic failure), the
+conflict graph has the expected edges, and ``Workspace.apply_plan``
+applies the plan verbatim and all-or-nothing.
 """
 
 import pytest
@@ -53,7 +53,8 @@ def _generated_corpus():
 
 class TestEffectSignatures:
     def test_signatures_consistent_with_validation_scope(self):
-        """No declared write may escape ``validation_scope()``."""
+        """No declared write may escape ``affected_types()`` x
+        ``touched_aspects``."""
         from repro.ops.effects import signature_scope_violations
 
         _, plan = _generated_corpus()

@@ -391,6 +391,23 @@ class TestInvalidationAcrossWorkspaceHistory:
         _churn(schema, "s")  # positions keep working after a renumber
         assert_index_matches_scan(schema)
 
+    def test_positioned_insert_in_schema_and_fork(self):
+        """A type deleted and re-added at its rank (a type deletion's
+        undo), on a schema and on a warm fork that shares its state."""
+        schema = generate_schema(WorkloadSpec(types=30, seed=7))
+        fork = self._warm_fork(schema)
+        for target in (fork, schema):
+            for rank in (0, 11, len(target) - 1):
+                name = target.type_names()[rank]
+                removed = target.remove_interface(name)
+                assert_index_matches_scan(target)
+                target.add_interface(removed, rank)
+                assert target.type_names()[rank] == name
+                assert target.index.declaration_rank(name) == rank
+                assert_index_matches_scan(target)
+            _churn(target, "p")  # positions keep working after an insert
+            assert_index_matches_scan(target)
+
     def test_lossy_touch_rescans_and_counts(self):
         schema = generate_schema(WorkloadSpec(types=30, seed=7))
         assert_index_matches_scan(schema)

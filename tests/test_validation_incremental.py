@@ -6,7 +6,7 @@ byte-for-byte equal to :func:`repro.model.validation.validate_schema`
 (the preserved reference spec).  These tests pin that equality across
 the workspace loop (apply / undo / redo / reset), direct mutator churn,
 warning-severity rule transitions, cycle and membership transitions,
-and the coarse fallbacks (``touch`` / ``touch_order``).
+and the coarse fallbacks (``touch`` / an order-only record).
 """
 
 from __future__ import annotations
@@ -279,11 +279,11 @@ class TestFallbacksAndApi:
         assert_matches_reference(small)
         assert small.validation.stats()["full_validations"] == 1
 
-    def test_touch_order_keeps_reference_order(self):
+    def test_order_only_record_keeps_reference_order(self):
         schema = parse_schema(MULTI_ROOT_ODL, name="mr")
         schema.get("C").add_supertype("B")
         schema.validation.validate()
-        schema.touch_order()
+        schema.reorder_interfaces(schema.type_names())
         assert_matches_reference(schema)
 
     def test_reorder_re_sorts_cached_findings(self):
@@ -302,6 +302,25 @@ class TestFallbacksAndApi:
         after = assert_matches_reference(schema)
         assert after != before
         assert sorted(after, key=str) == sorted(before, key=str)
+
+    def test_positioned_insert_re_keys_cached_findings(self):
+        """An insert before the end renumbers every position: a cached
+        multi-root finding must be re-keyed, or one recomputed after the
+        insert would sort ahead of it."""
+        schema = parse_schema(
+            "interface G1 {}; interface G2 {}; interface G3 {};"
+            "interface G4 {}; interface G5 {};"
+            "interface A {}; interface B {}; interface C : A, B {};"
+            "interface D {}; interface E {}; interface F : D, E {};",
+            name="insert",
+        )
+        assert_matches_reference(schema)
+        for name in ("G1", "G2", "G3", "G4", "G5"):
+            schema.remove_interface(name)  # leaves gaps in the positions
+        assert_matches_reference(schema)
+        schema.add_interface(InterfaceDef("Z", supertypes=["D"]), 3)
+        issues = assert_matches_reference(schema)
+        assert [i.rule for i in issues].count("multi-root-hierarchy") == 2
 
     def test_clean_hit_when_nothing_changed(self, small):
         small.validation.validate()
