@@ -117,9 +117,9 @@ class ConceptSchema:
         Useful for rendering and for exporting one point of view as ODL.
         """
         projection = Schema(f"{schema.name}#{self.identifier}")
-        for name in sorted(self.members):
-            if name in schema:
-                projection.add_interface(schema.get(name))
+        projection.add_interfaces(
+            schema.get(name) for name in sorted(self.members) if name in schema
+        )
         return projection
 
     def describe(self) -> str:

@@ -64,6 +64,7 @@ MUTATOR_ASPECTS: dict[str, frozenset[Aspect] | None] = {
     "remove_relationship": None,
     "replace_relationship": None,
     "add_interface": frozenset({Aspect.MEMBERSHIP}),
+    "add_interfaces": frozenset({Aspect.MEMBERSHIP}),
     "remove_interface": frozenset({Aspect.MEMBERSHIP}),
     "reorder_interfaces": frozenset({Aspect.MEMBERSHIP}),
 }

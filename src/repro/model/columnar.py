@@ -19,7 +19,8 @@ schemas pay no Python-object overhead per node and per edge:
   from the schema's mutation spine (it is the spine's subscriber).
   Beside them it keeps the rest of the state an edit queries: a
   declaration position per id (renumbered from the schema's order when
-  a type is inserted before the end or the whole order changes), the
+  the whole order changes, or when a type inserted before the end
+  finds no free key between its neighbours'), the
   owners of to-many part-of / instance-of ends with their reverse map,
   and the owners of each extent name.
 
@@ -181,12 +182,13 @@ class ColumnarAdjacency:
     graphs, each re-derived for the record's own owner only:
 
     * ``_position[i]`` -- declaration sort key of defined id *i*:
-      appended on ``add_interface``, dropped on ``remove_interface``,
-      renumbered from the schema's order on ``reorder_interfaces`` and
-      on an ``add_interface`` that carries a rank (an insert before the
-      end: the record holds one int, the renumbering is the store's
-      own O(types) work); ``_order`` holds the live keys ascending, so
-      a rank is one bisect;
+      appended on ``add_interface`` / ``add_interfaces``, dropped on
+      ``remove_interface``, renumbered from the schema's order on
+      ``reorder_interfaces``; an ``add_interface`` that carries a rank
+      (an insert before the end, such as an undone type deletion) takes
+      a free key between its neighbours' keys, and renumbers only when
+      none is free; ``_order`` holds the live keys ascending, so a rank
+      is one bisect;
     * ``_links[kind]`` -- owner -> targets of its to-many ends of a
       part-of / instance-of kind (the owners are the keys), with
       ``_linked_from[kind]`` the reverse (target -> owners, one entry
@@ -300,16 +302,22 @@ class ColumnarAdjacency:
             return
         name = record.interface
         if name is None:
-            if kind == "reorder_interfaces":
+            if kind == "add_interfaces":
+                for interface in record.payload.values():
+                    self._define(interface)
+                self._pending.update(record.payload)
+            elif kind == "reorder_interfaces":
                 self._renumber(record.payload["order"])
             elif not replayable_kind(kind):
                 self.mark_dirty()
             return
         if kind == "add_interface":
             interfaces = self._schema.interfaces
-            self._define(interfaces[name])
-            if record.payload["position"] is not None:
-                self._renumber(interfaces)  # inserted before the end
+            rank = record.payload["position"]
+            key = None if rank is None else self._free_key(rank)
+            self._define(interfaces[name], key)
+            if rank is not None and key is None:
+                self._renumber(interfaces)  # no free key at the rank
             self._pending.add(name)
             return
         if kind == "remove_interface":
@@ -460,17 +468,27 @@ class ColumnarAdjacency:
         for _ in range(occurrences):
             self._release(pid)
 
-    def _define(self, interface: "InterfaceDef") -> None:
-        """Wire a newly defined interface: id, position, links, extent."""
+    def _define(
+        self, interface: "InterfaceDef", key: int | None = None
+    ) -> None:
+        """Wire a newly defined interface: id, position, links, extent.
+
+        It takes the sort key *key* (a free key from :meth:`_free_key`),
+        or, by default, the next key past the end.
+        """
         self._own_state()
         name = interface.name
         ident = self.table.acquire(name)  # the "defined" reference
         self._ensure_row(ident)
         self._defined[ident] = 1
-        position = self._next_position
-        self._next_position = position + 1
-        self._position[ident] = position
-        self._order.append(position)
+        order = self._order
+        if key is None:
+            key = self._next_position
+            self._next_position = key + 1
+            order.append(key)
+        else:
+            order.insert(bisect_left(order, key), key)
+        self._position[ident] = key
         for parent in tuple(interface.supertypes):
             self._link_parent(ident, parent)
         self._set_links(name, interface, LINK_KINDS)
@@ -531,6 +549,24 @@ class ColumnarAdjacency:
                 self._link_parent(ident, parent)
             for pid in released:
                 self._release(pid)
+
+    def _free_key(self, rank: int) -> int | None:
+        """A free sort key for a type inserted at declaration *rank*.
+
+        It lies strictly between the keys now at ranks ``rank - 1`` and
+        ``rank`` (below the first key for rank 0; keys stay >= 0, -1 is
+        the undefined sentinel), or is ``None`` when the two are
+        adjacent.  A deleted type's key stays free until a neighbour
+        takes it, so undoing the deletion at once needs no renumbering.
+        """
+        order = self._order
+        if rank >= len(order):
+            return None  # out of step with the schema: renumber checks
+        low = order[rank - 1] if rank else -1
+        high = order[rank]
+        if high - low < 2:
+            return None
+        return (low + high) // 2
 
     def _renumber(self, order: Iterable[str]) -> None:
         """Positions 0..n-1 in *order* (a reorder record's payload, or

@@ -65,10 +65,12 @@ _REL = {
 class _PayloadClaim:
     """An ``add_interface`` record payload borrowing the live interface.
 
-    ``Schema._adopt`` stores the adopted interface itself in the record
-    payload instead of an eager copy; settling swaps the live reference
-    for a copy of the pre-mutation state, so replay and delete-undo
-    still see the interface exactly as it was added.
+    ``Schema.add_interface`` stores the adopted interface itself in the
+    record payload instead of an eager copy; settling swaps the live
+    reference for a copy of the pre-mutation state, so replay and
+    delete-undo still see the interface exactly as it was added.  A
+    single add only: a bulk add's members share one
+    :class:`_PopulationClaim`.
     """
 
     __slots__ = ("_payload",)
@@ -79,6 +81,30 @@ class _PayloadClaim:
     def settle(self, original: "InterfaceDef") -> bool:
         if self._payload.get("interface") is original:
             self._payload["interface"] = original.copy()
+        return True
+
+
+class _PopulationClaim:
+    """An ``add_interfaces`` record payload borrowing its live members.
+
+    The payload is the name -> interface map ``Schema.add_interfaces``
+    adopted.  One claim serves the whole population: it sits once on the
+    owning spine's ``_cow_borrows`` (settled by the barrier of every
+    member the spine owns) and is registered per interface only on a
+    borrowed member, whose mutations run on another spine.  Settling
+    swaps the live member for a copy of its pre-mutation state, so
+    replay still sees the population exactly as it was added.
+    """
+
+    __slots__ = ("_payload",)
+
+    def __init__(self, payload: dict) -> None:
+        self._payload = payload
+
+    def settle(self, original: "InterfaceDef") -> bool:
+        payload = self._payload
+        if payload.get(original.name) is original:
+            payload[original.name] = original.copy()
         return True
 
 

@@ -25,7 +25,10 @@ Kovacs — so the model layer has a single source of change truth:
   only what its mutator changed: no record restates an operation's
   declared scope, and re-inserting a type at its old rank (the undo of
   a type deletion) is one ``add_interface`` record carrying the rank,
-  so a workspace's history grows with its edits, not with the schema.
+  so a workspace's history grows with its edits, not with the schema;
+* a built schema (parsed, generated, copied, replayed) journals its
+  whole population in one ``add_interfaces`` record, so its spine does
+  not grow with the schema either.
 
 Adding a cache layer no longer touches any mutator: subscribe to the
 log (or stamp against ``seq``) and derive your state from the records —
@@ -95,7 +98,7 @@ class MutationRecord:
     ``kind`` names the mutator that ran (``"add_attribute"``,
     ``"remove_interface"``, ...), ``interface`` the owning type for
     interface-level mutations (``None`` for whole-schema records:
-    ``reorder_interfaces`` and ``touch``),
+    ``add_interfaces``, ``reorder_interfaces`` and ``touch``),
     ``aspects`` the facets it changed, ``payload`` the arguments needed
     to replay it, and ``seq`` its position on the spine.
     """
@@ -112,8 +115,10 @@ class MutationRecord:
         ISA mutations also name the supertypes involved: adding or
         removing a parent changes that parent's derived state (its
         subtree), so O(changed) verification sweeps must treat it as
-        touched.  ``remove_interface`` carries no payload; the parents
-        it detached from are only covered by the final full sweep.
+        touched; an added interface names its supertypes, and a
+        population record every member and theirs.
+        ``remove_interface`` carries no payload; the parents it detached
+        from are only covered by the final full sweep.
         """
         if self.interface is not None:
             yield self.interface
@@ -127,6 +132,10 @@ class MutationRecord:
         elif kind == "add_interface":
             definition = self.payload.get("interface")
             if definition is not None:
+                yield from definition.supertypes
+        elif kind == "add_interfaces":
+            for name, definition in self.payload.items():
+                yield name
                 yield from definition.supertypes
 
     def __str__(self) -> str:
@@ -356,6 +365,12 @@ def _replay_add_interface(schema: "Schema", record: MutationRecord) -> None:
     schema.add_interface(payload["interface"].copy(), payload["position"])
 
 
+def _replay_add_interfaces(schema: "Schema", record: MutationRecord) -> None:
+    schema.add_interfaces(
+        interface.copy() for interface in record.payload.values()
+    )
+
+
 def _replay_remove_interface(schema: "Schema", record: MutationRecord) -> None:
     schema.remove_interface(record.interface)
 
@@ -374,6 +389,7 @@ def _interface_replayer(method: str, *arg_keys: str):
 
 _REPLAYERS: dict[str, Callable[["Schema", MutationRecord], None]] = {
     "add_interface": _replay_add_interface,
+    "add_interfaces": _replay_add_interfaces,
     "remove_interface": _replay_remove_interface,
     "reorder_interfaces": _replay_reorder_interfaces,
     "add_supertype": _interface_replayer("add_supertype", "supertype", "position"),
@@ -419,8 +435,10 @@ class DirtyJournal:
     Pure derived bookkeeping over the mutation stream: interface names
     changed (with the aspects that moved), names added/removed, whether
     declaration order moved (a whole-order ``reorder_interfaces``, or an
-    interface inserted before the end), and whether an out-of-band
-    ``Schema.touch()`` forced a full invalidation.  The journal is a
+    interface inserted before the end), and whether everything is dirty:
+    an out-of-band ``Schema.touch()``, or a population record
+    (``add_interfaces``), after which every rule must run on the new
+    members anyway -- one flag, not one name per type.  The journal is a
     :class:`MutationLog` subscriber — :meth:`observe` folds each record
     in — so every note accompanies a seq bump and a schema whose
     generation matches the cache's stamp always has an irrelevant
@@ -449,7 +467,7 @@ class DirtyJournal:
             self.removed.add(record.interface)
         elif kind == "reorder_interfaces":
             self.order_changed = True
-        elif kind == "touch":
+        elif kind in ("add_interfaces", "touch"):
             self.full = True
         elif record.interface is not None:
             self.touched.setdefault(record.interface, set()).update(

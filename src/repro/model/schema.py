@@ -17,6 +17,10 @@ Change propagation runs through one channel: every mutation lands a
 :class:`~repro.model.mutation.MutationLog`, and the cache layers (the
 columnar graph store behind :attr:`Schema.index`, the validation dirty
 journal, fingerprint memos) are fed by that spine -- see DESIGN.md §5e.
+Filling a schema is one mutation: every builder (parsing, generation,
+:meth:`Schema.copy`, replay) adds its types with
+:meth:`Schema.add_interfaces`, which lands one population record, not
+one record per type.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.model.interface import (
     InterfaceDef,
     _CowAnchor,
     _PayloadClaim,
+    _PopulationClaim,
     _SchemaShare,
 )
 from repro.model.mutation import Aspect, DirtyJournal, MutationLog
@@ -95,8 +100,9 @@ class Schema:
         self._log.subscribe(self._journal.observe)
         self._use_store(ColumnarAdjacency(self))
         self._validation = None
-        for interface in self.interfaces.values():
-            self._adopt(interface)
+        if self.interfaces:
+            interfaces, self.interfaces = self.interfaces, {}
+            self.add_interfaces(interfaces.values())
 
     # ------------------------------------------------------------------
     # The mutation spine & its subscribers
@@ -158,36 +164,20 @@ class Schema:
             self._cow_borrow = _SchemaShare(self._cow_anchor)
         return self._cow_borrow
 
-    def _adopt(
-        self, interface: InterfaceDef, position: int | None = None
-    ) -> None:
-        """Take the interface as schema content and record the membership.
+    def _attach(self, interface: InterfaceDef) -> bool:
+        """Own *interface*, or borrow it; True when it is borrowed.
 
         An interface nobody else owns is attached to this spine
         (ownership); one already attached to another schema's spine is
         *borrowed* copy-on-write -- the owner mutating it privatises a
         frozen copy into this schema, and mutating it through this
         schema goes via :meth:`edit`, which materialises first.
-
-        The membership record's payload carries the live interface, not
-        an eager copy; a :class:`~repro.model.interface._PayloadClaim`
-        freezes it to the as-added state on the interface's first
-        mutation, so replay and delete-undo stay exact while unmutated
-        adds cost nothing.  ``position`` is the declaration rank the
-        interface was inserted at, ``None`` for an append.
         """
         if interface._spines and self._log not in interface._spines:
             interface.register_claim(self._cow_share())
-        else:
-            interface._attach_spine(self._log)
-        payload = {"interface": interface, "position": position}
-        interface.register_claim(_PayloadClaim(payload))
-        self._log.emit(
-            "add_interface",
-            interface=interface.name,
-            aspects=_MEMBERSHIP,
-            payload=payload,
-        )
+            return True
+        interface._attach_spine(self._log)
+        return False
 
     def touch(self) -> None:
         """Invalidate all caches after an out-of-band mutation.
@@ -215,6 +205,12 @@ class Schema:
         *position* (the undo of a type deletion restores the slot the
         type was deleted from).  Either way the spine gets one
         ``add_interface`` record that carries the rank, not the order.
+        The record's payload carries the live interface, not an eager
+        copy; a :class:`~repro.model.interface._PayloadClaim` freezes it
+        to the as-added state on the interface's first mutation, so
+        replay and delete-undo stay exact while unmutated adds cost
+        nothing.  A schema built from many interfaces adds them with
+        :meth:`add_interfaces` instead.
         """
         name = interface.name
         interfaces = self.interfaces
@@ -234,7 +230,55 @@ class Schema:
                 f"schema {self.name!r}: position {position} is outside "
                 f"0..{len(interfaces)}"
             )
-        self._adopt(interface, position)
+        self._attach(interface)
+        payload = {"interface": interface, "position": position}
+        interface.register_claim(_PayloadClaim(payload))
+        self._log.emit(
+            "add_interface",
+            interface=name,
+            aspects=_MEMBERSHIP,
+            payload=payload,
+        )
+
+    def add_interfaces(self, interfaces: Iterable[InterfaceDef]) -> None:
+        """Append *interfaces* to the declaration order as one population.
+
+        The bulk form of :meth:`add_interface`, and how every schema
+        builder adds its types (parsing, generation, :meth:`copy`,
+        replay).  Each name is checked as it is drawn, against the
+        schema and the members before it, with :meth:`add_interface`'s
+        error; nothing changes until the last one is drawn, so a
+        duplicate, or an iterable that raises, leaves the schema and its
+        spine as they were.
+
+        The spine gets one ``add_interfaces`` record (none for an empty
+        population) whose payload maps each name to its live interface.
+        One :class:`~repro.model.interface._PopulationClaim` freezes a
+        member to its as-added state on its first mutation: it is
+        registered once on this spine's borrows, which the barrier of
+        every owned member settles, and per interface only on a borrowed
+        member, whose mutations run on its owner's spine.
+        """
+        defined = self.interfaces
+        population: dict[str, InterfaceDef] = {}
+        for interface in interfaces:
+            name = interface.name
+            if name in defined or name in population:
+                raise DuplicateNameError(
+                    f"schema {self.name!r} already defines {name!r}"
+                )
+            population[name] = interface
+        if not population:
+            return
+        defined.update(population)
+        claim = _PopulationClaim(population)
+        for interface in population.values():
+            if self._attach(interface):
+                interface.register_claim(claim)
+        self._log._cow_borrows.append(claim)
+        self._log.emit(
+            "add_interfaces", aspects=_MEMBERSHIP, payload=population
+        )
 
     def remove_interface(self, name: str) -> InterfaceDef:
         """Remove and return the interface called *name*.
@@ -491,8 +535,7 @@ class Schema:
     def copy(self, name: str | None = None) -> "Schema":
         """Structural copy of the schema (optionally renamed)."""
         duplicate = Schema(name or self.name)
-        for interface in self:
-            duplicate.add_interface(interface.copy())
+        duplicate.add_interfaces(interface.copy() for interface in self)
         return duplicate
 
     def fork(self, name: str | None = None) -> "Schema":
@@ -619,6 +662,5 @@ class Schema:
 def schema_from_interfaces(name: str, interfaces: Iterable[InterfaceDef]) -> Schema:
     """Convenience constructor used by the catalog and tests."""
     schema = Schema(name)
-    for interface in interfaces:
-        schema.add_interface(interface)
+    schema.add_interfaces(interfaces)
     return schema

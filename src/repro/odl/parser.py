@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from sys import intern
+from typing import Iterator
 
 from repro.model.attributes import Attribute
 from repro.model.interface import InterfaceDef
@@ -104,10 +105,9 @@ def parse_schema(text: str, name: str = "schema") -> Schema:
         wrapped = True
     schema = Schema(name)
     # Every offset the loops below pass on starts a token that scans.
-    pos = stream.start
-    while _AT_INTERFACE(text, pos):
-        interface, pos = _parse_interface(text, pos)
-        schema.add_interface(interface)
+    end = [stream.start]
+    schema.add_interfaces(_interfaces_from(text, end))
+    pos = end[0]
     if wrapped or pos < len(text):
         stream = TokenStream(text, pos)
         if wrapped:
@@ -115,6 +115,20 @@ def parse_schema(text: str, name: str = "schema") -> Schema:
             stream.accept_punct(";")
         stream.expect_end()
     return schema
+
+
+def _interfaces_from(text: str, end: list[int]) -> Iterator[InterfaceDef]:
+    """The interface definitions from offset ``end[0]`` on, parsed one
+    at a time; ``end[0]`` is left at the offset after the last one.
+
+    Lazy, so the bulk add draining it rejects a duplicate name at the
+    duplicate's position, before any later definition is parsed.
+    """
+    pos = end[0]
+    while _AT_INTERFACE(text, pos):
+        interface, pos = _parse_interface(text, pos)
+        end[0] = pos
+        yield interface
 
 
 def parse_interface(text: str) -> InterfaceDef:

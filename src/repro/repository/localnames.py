@@ -132,8 +132,9 @@ def apply_local_names(schema: Schema, names: LocalNameMap) -> Schema:
     keeps operating on canonical names.
     """
     display = Schema(schema.name)
-    for interface in schema:
-        display.add_interface(_rename_interface(schema, interface, names))
+    display.add_interfaces(
+        _rename_interface(schema, interface, names) for interface in schema
+    )
     return display
 
 

@@ -861,8 +861,10 @@ def _subject(schema: Schema, names: Iterable[str] | None) -> Schema:
     if names is None:
         return schema
     sub = Schema(f"{schema.name}_closure")
-    for name in schema.index.in_declaration_order(names):
-        sub.add_interface(schema.interfaces[name].copy())
+    sub.add_interfaces(
+        schema.interfaces[name].copy()
+        for name in schema.index.in_declaration_order(names)
+    )
     return sub
 
 

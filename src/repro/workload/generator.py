@@ -94,9 +94,9 @@ def generate_schema(spec: WorkloadSpec, name: str | None = None) -> Schema:
     schema = Schema(name or f"synthetic_{spec.types}_{spec.seed}")
 
     type_names = [f"Type{i:03d}" for i in range(spec.types)]
-    # Built and wired detached, then added: wiring an added interface
-    # would land one spine record per write and settle its
-    # ``add_interface`` payload claim with a copy.
+    # Built and wired detached, then added as one population: wiring an
+    # added interface would land one spine record per write and settle
+    # the population claim with a copy.
     interfaces: dict[str, InterfaceDef] = {}
     for type_name in type_names:
         interface = InterfaceDef(type_name)
@@ -119,8 +119,7 @@ def generate_schema(spec: WorkloadSpec, name: str | None = None) -> Schema:
     _wire_associations(interfaces, type_names, spec, rng)
     _wire_part_of_chain(interfaces, type_names, spec)
     _wire_instance_of_chain(interfaces, type_names, spec)
-    for interface in interfaces.values():
-        schema.add_interface(interface)
+    schema.add_interfaces(interfaces.values())
     return schema
 
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.model.columnar import ColumnarAdjacency
 from repro.model.index import scan_adjacency
 from repro.model.interface import InterfaceDef
 from repro.model.schema import Schema
+from repro.ops.type_ops import DeleteTypeDefinition
 from repro.repository.workspace import Workspace
+from repro.verify.invariants import check_schema
 from repro.workload.generator import (
     WorkloadSpec,
     generate_operations,
@@ -140,3 +143,120 @@ class TestDeleteAndIdReuse:
         assert adjacency.parents_of("Z") == ("A",)
         assert adjacency.descendants_of("B") == set()  # C's edge is gone
         assert "Z" not in adjacency.descendants_of("B")
+
+
+def _assert_declaration_order(schema: Schema) -> None:
+    """Every order query of the store matches the schema's own order."""
+    names = schema.type_names()
+    index = schema.index
+    assert [index.declaration_rank(name) for name in names] == list(
+        range(len(names))
+    )
+    assert index.in_declaration_order(reversed(names)) == names
+    assert index.declaration_order() == {
+        name: rank for rank, name in enumerate(names)
+    }
+    assert all(index.position_of(name) >= 0 for name in names)
+    assert check_schema(schema, names=["columnar-vs-scan"]) == []
+    _assert_agreement(schema)
+
+
+class TestPositionedInsertKeys:
+    """A type re-inserted at its rank (the undo of a type deletion)
+    takes a free sort key between its neighbours' keys, and the store
+    renumbers only when the two keys are adjacent."""
+
+    @pytest.fixture
+    def renumbers(self, monkeypatch):
+        calls = []
+        renumber = ColumnarAdjacency._renumber
+
+        def counting(store, order):
+            calls.append(store)
+            return renumber(store, order)
+
+        monkeypatch.setattr(ColumnarAdjacency, "_renumber", counting)
+        return calls
+
+    @pytest.fixture
+    def schema(self):
+        schema = Schema("s")
+        for name in "ABCDEFGH":
+            schema.add_interface(InterfaceDef(name))
+        schema.index.ensure_fresh()  # fold what follows incrementally
+        return schema
+
+    @pytest.mark.parametrize("rank", [0, 3, 6])
+    def test_immediate_reinsert_takes_the_free_key(
+        self, schema, renumbers, rank
+    ):
+        name = schema.type_names()[rank]
+        removed = schema.remove_interface(name)
+        schema.add_interface(removed, rank)
+        assert renumbers == []
+        assert schema.type_names() == list("ABCDEFGH")
+        _assert_declaration_order(schema)
+
+    def test_adjacent_deletions_renumber_only_without_a_free_key(
+        self, schema, renumbers
+    ):
+        first = schema.remove_interface("C")
+        second = schema.remove_interface("D")
+        schema.add_interface(second, 2)  # the gap C and D left is free
+        assert renumbers == []
+        _assert_declaration_order(schema)
+        schema.add_interface(first, 2)  # between B's key and D's: none
+        assert len(renumbers) == 1
+        assert schema.type_names() == list("ABCDEFGH")
+        _assert_declaration_order(schema)
+
+    def test_repeated_inserts_at_rank_zero(self, schema, renumbers):
+        for name in ("X", "Y", "Z"):
+            schema.add_interface(InterfaceDef(name), 0)
+            _assert_declaration_order(schema)
+        assert schema.type_names()[:3] == ["Z", "Y", "X"]
+        assert len(renumbers) >= 1  # keys run out below A's key 0
+
+    def test_a_fork_view_owns_its_keys_before_inserting(self, schema, renumbers):
+        fork = schema.fork("branch")
+        fork.index.ensure_fresh()
+        removed = fork.remove_interface("E")
+        fork.add_interface(removed, 4)
+        assert renumbers == []
+        _assert_declaration_order(fork)
+        assert fork.index._base is schema.index  # still an overlay
+        _assert_declaration_order(schema)
+
+    def test_workspace_undo_of_a_type_deletion_makes_no_renumber(
+        self, renumbers
+    ):
+        workspace = Workspace(generate_schema(WorkloadSpec(types=60, seed=7)))
+        schema = workspace.schema
+        names = schema.type_names()
+        victim = next(
+            name for name in names[len(names) // 2:]
+            if not schema.index.referencers_of(name) - {name}
+        )
+        workspace.apply(DeleteTypeDefinition(victim))
+        workspace.undo_last()
+        assert renumbers == []
+        assert schema.type_names() == names
+        _assert_declaration_order(schema)
+
+    def test_delete_undo_redo_chains_keep_the_order(self):
+        workspace = Workspace(
+            generate_schema(WorkloadSpec(types=60, seed=7, isa_fraction=0.5))
+        )
+        schema = workspace.schema
+        names = schema.type_names()
+        victims = [names[0], names[1], names[30], names[29], names[-1]]
+        for victim in victims:
+            if victim in schema:
+                workspace.apply(DeleteTypeDefinition(victim))
+                _assert_declaration_order(schema)
+        for _ in range(2):
+            while workspace.undo_last() is not None:
+                _assert_declaration_order(schema)
+            assert schema.type_names() == names
+            while workspace.redo() is not None:
+                _assert_declaration_order(schema)

@@ -73,9 +73,14 @@ class TestStream:
         small.get("Person").set_extent("persons")
         assert small.generation == small.log.seq
 
-    def test_construction_emits_add_interface_records(self, small):
-        adds = [r for r in small.log.records if r.kind == "add_interface"]
-        assert [r.interface for r in adds] == list(small.interfaces)
+    def test_construction_emits_one_population_record(self, small):
+        (population,) = small.log.records
+        assert (population.kind, population.interface) == (
+            "add_interfaces", None,
+        )
+        assert list(population.payload) == list(small.interfaces)
+        assert list(population.names()) == ["Person", "Employee", "Person",
+                                            "Department"]
 
     def test_subscribers_notified_synchronously(self, small):
         seen = []
@@ -121,11 +126,13 @@ class TestReplay:
         assert rebuilt.type_names() == small.type_names()
 
     def test_replay_payload_isolated_from_later_mutations(self, small):
-        """add_interface payloads are copies: later edits don't leak in."""
-        fingerprint = schema_fingerprint(small)
+        """The population payload keeps each member as added: later
+        edits don't leak in."""
         small.get("Person").add_attribute(Attribute("dob", scalar("date")))
-        adds = [r for r in small.log.records if r.interface == "Person"]
-        assert "dob" not in adds[0].payload["interface"].attributes
+        population = small.log.records[0]
+        assert population.kind == "add_interfaces"
+        assert "dob" not in population.payload["Person"].attributes
+        assert population.payload["Person"] is not small.interfaces["Person"]
         rebuilt = small.log.replay()
         assert schema_fingerprint(rebuilt) == schema_fingerprint(small)
 

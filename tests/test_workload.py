@@ -70,9 +70,9 @@ class TestGenerateSchema:
         assert stats["relationship_ends"] == 0
 
     def test_wires_before_adding(self, monkeypatch):
-        """Interfaces are wired detached, then added: no ``add_interface``
-        payload claim is settled with a copy, and the spine holds one
-        record per type."""
+        """Interfaces are wired detached, then added: no population
+        claim is settled with a copy, and the spine holds one record for
+        all the types."""
         copies = []
         copy = InterfaceDef.copy
         monkeypatch.setattr(
@@ -83,7 +83,7 @@ class TestGenerateSchema:
         spec = WorkloadSpec(types=200, isa_chain=5, hub_fanout=10, seed=1)
         stats = generate_schema(spec).stats()
         assert copies == []
-        assert stats["spine.records"] == 200
+        assert stats["spine.records"] == 1
         assert stats["supertype_links"] > 0
         assert stats["relationship_ends"] > 200
 
