@@ -9,7 +9,8 @@ ISSUE asks for at 200 / 1k / 10k / 100k types:
 
 * ``build``    -- workload generation of the reference schema;
 * ``plan``     -- the same 100-op seeded plan through
-  :meth:`Workspace.apply_plan` (median, state undone between reps);
+  :meth:`Workspace.apply_plan` plus one read of
+  :attr:`Workspace.issues` (median, state undone between reps);
 * ``fork``     -- one what-if branch of the evolved workspace;
 * ``verify``   -- a full structural sweep (``validate_schema``, the
   O(types + ends) reference scan; the *invariant-registry* full sweep
@@ -97,9 +98,11 @@ def _plan_times(
         plan = list(operations)
         start = time.perf_counter()
         entries = workspace.apply_plan(plan)
+        workspace.issues  # the plan's one validation, timed
         times.append(time.perf_counter() - start)
         for _ in range(len(entries)):
             workspace.undo_last()
+        workspace.issues  # fold the undos outside the timed region
     return statistics.median(times), min(times)
 
 
@@ -108,6 +111,7 @@ def _scoped_verify_time(workspace: Workspace, operations: list) -> float:
     schema = workspace.schema
     seq_before = schema.log.seq
     entries = workspace.apply_plan(list(operations))
+    workspace.issues  # validated before the sweep, which times no fold
     touched: set[str] = set()
     for record in schema.log.records_since(seq_before):
         touched.update(record.names())
@@ -117,6 +121,7 @@ def _scoped_verify_time(workspace: Workspace, operations: list) -> float:
     assert not violations, violations[:3]
     for _ in range(len(entries)):
         workspace.undo_last()
+    workspace.issues
     return elapsed
 
 

@@ -3,17 +3,18 @@
 Two measurements, merged into the bench trajectory JSON:
 
 * **Per-op vs whole-plan application** at shrink-wrap scale: applying
-  a 100-op plan through :meth:`Workspace.apply` validates after every
-  op; :meth:`Workspace.apply_plan` runs the static analyzer once,
-  applies every op through the same engine, and validates once at the
-  end.  The two paths are asserted fingerprint-identical (the bench
-  doubles as a differential), then timed.  Floor: parity (>= 0.9x) at
-  200 types / 100 ops.  The original floor was >= 2x, but most
-  of that gap was the per-op path paying an *eager propagation scratch
-  copy* per operation -- copy-on-write forks collapsed that tax, so at
-  200 types the two paths now tie; the scaling floors of
-  ``apply_plan`` live in ``test_bench_compact.py`` /
-  ``test_bench_columnar.py``.
+  a 100-op plan through :meth:`Workspace.apply` and reading
+  :attr:`Workspace.issues` after every op validates per op;
+  :meth:`Workspace.apply_plan` runs the static analyzer once, applies
+  every op through the same engine, and one read of the issues
+  validates once at the end.  The two paths are asserted
+  fingerprint-identical (the bench doubles as a differential), then
+  timed.  Floor: parity (>= 0.9x) at 200 types / 100 ops.  The
+  original floor was >= 2x, but most of that gap was the per-op path
+  paying an *eager propagation scratch copy* per operation --
+  copy-on-write forks collapsed that tax, so at 200 types the two paths
+  now tie; the scaling floors of ``apply_plan`` live in
+  ``test_bench_compact.py`` / ``test_bench_columnar.py``.
 * **Analyzer overhead**: :func:`~repro.analysis.plan.analyze_plan` on
   the same plan, alone, as a fraction of the naive apply time -- the
   pre-flight must stay a small add-on, not a second apply loop.
@@ -63,11 +64,13 @@ def test_bench_plan_whole_vs_naive(report, record_bench):
         workspace = Workspace(schema, "naive")
         for operation in plan:
             workspace.apply(operation)
+            workspace.issues
         return workspace
 
     def whole():
         workspace = Workspace(schema, "whole")
         workspace.apply_plan(plan)
+        workspace.issues
         return workspace
 
     assert schema_fingerprint(naive().schema) == schema_fingerprint(
@@ -113,6 +116,7 @@ def test_bench_plan_analyzer_overhead(report, record_bench):
         workspace = Workspace(schema, "overhead_naive")
         for operation in plan:
             workspace.apply(operation)
+            workspace.issues
 
     naive_time = _median_time(naive, repeats=REPEATS)
     fraction = analyze_time / naive_time if naive_time else 0.0

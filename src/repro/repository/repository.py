@@ -41,8 +41,8 @@ class SchemaRepository:
     """
 
     def __init__(self, shrink_wrap: Schema, custom_name: str | None = None) -> None:
-        # The workspace's first validation is the shrink wrap's: its CoW
-        # fork holds the same interfaces in the same order, so one
+        # The workspace's first read of its issues validates its CoW fork
+        # of the shrink wrap in full (same interfaces, same order), so one
         # validation per open gates a structurally broken schema.
         workspace = Workspace(shrink_wrap, custom_name)
         raise_on_errors(shrink_wrap.name, workspace.issues)
@@ -172,9 +172,12 @@ class SchemaRepository:
         consistency rules are enforced.  It is a copy-on-write fork of
         the workspace schema; the CoW barrier copies an interface into it
         before the workspace writes one, so later edits never reach it.
+        Holding what the workspace holds, it is gated on the workspace's
+        issues, which fold only the edits since their last read.
         """
-        custom = self.workspace.schema.fork(name or self.workspace.schema.name)
-        custom.validate()
+        name = name or self.workspace.schema.name
+        raise_on_errors(name, self.workspace.issues)
+        custom = self.workspace.schema.fork(name)
         self.custom_schema = custom
         return custom
 

@@ -2,13 +2,13 @@
 
 Figure 1 places a "Workspace" data structure between the concept schemas
 and the custom schema: modifications are applied there, one operation at
-a time, each validated, optionally propagated, logged, and undoable.
+a time, optionally propagated, logged, and undoable.
 
-The paper's loop validates the custom schema after *every* operation;
-the workspace does that through the incremental validation engine
-(:class:`repro.model.validation_cache.ValidationCache`), which re-checks
-only the dirty set each step leaves behind, and keeps the current issue
-list in :attr:`Workspace.issues`.
+The designer sees the custom schema's structural issues as feedback on
+each modification; :attr:`Workspace.issues` reads them on demand from
+the schema's incremental validation engine
+(:class:`repro.model.validation_cache.ValidationCache`), which folds
+every edit made since the last read.
 
 On top of the mutation spine the workspace offers cheap what-if
 branches: :meth:`Workspace.snapshot` is an O(1) watermark (a seq on the
@@ -48,7 +48,10 @@ class WorkspaceSnapshot:
     ``seq`` is the watermark on the schema's mutation log at snapshot
     time and ``depth`` the undo depth; ``log`` pins the identity of the
     spine the snapshot was taken on, so a snapshot is rejected after
-    :meth:`Workspace.reset` (which replaces the schema and its log).
+    :meth:`Workspace.reset` (which replaces the schema and its log);
+    ``plan``, the plan list of the entry at ``depth`` (which
+    :meth:`Workspace.redo` reuses and a new apply replaces), rejects a
+    snapshot whose steps were undone and overwritten.
     Taking a snapshot copies nothing -- restoring one
     (:meth:`Workspace.undo_to`) or branching from one
     (:meth:`Workspace.fork` with ``at=``) pays only for the distance
@@ -58,6 +61,7 @@ class WorkspaceSnapshot:
     log: MutationLog
     seq: int
     depth: int
+    plan: list[SchemaOperation] | None = field(compare=False)
 
 
 @dataclass
@@ -89,33 +93,27 @@ class Workspace:
     every interface the designer has not edited.
     """
 
-    def __init__(
-        self,
-        reference: Schema,
-        name: str | None = None,
-        validate_each_step: bool = True,
-    ) -> None:
+    def __init__(self, reference: Schema, name: str | None = None) -> None:
         self.reference = reference
         self.schema = reference.fork(name or f"{reference.name}_custom")
         self.context = OperationContext(reference=reference)
         self.log: list[LogEntry] = []
         self._redo_stack: list[LogEntry] = []
-        #: Structural issues of the current custom schema, refreshed
-        #: incrementally after every apply / undo / redo / reset (the
-        #: paper's per-operation validation).  Empty when
-        #: ``validate_each_step`` is off.
-        self.validate_each_step = validate_each_step
-        self.issues: list[Issue] = []
         #: Last plan analysis, keyed by (plan fingerprint, concept kind)
         #: and stamped with the spine it was computed against -- retrying
         #: a rejected plan reuses it instead of re-running the whole
         #: static analysis.
         self._analysis_memo: tuple | None = None
-        self._refresh_issues()
 
-    def _refresh_issues(self) -> None:
-        if self.validate_each_step:
-            self.issues = self.schema.validation.validate()
+    @property
+    def issues(self) -> list[Issue]:
+        """Structural issues of the current custom schema, read on demand.
+
+        O(1) when nothing changed since the last read, else one
+        incremental pass over every edit since; always equal to
+        :func:`~repro.model.validation.validate_schema` of the schema.
+        """
+        return self.schema.validation.validate()
 
     # ------------------------------------------------------------------
     # Applying operations
@@ -157,8 +155,8 @@ class Workspace:
         diagnostic fires, :class:`~repro.analysis.plan.PlanPreflightError`
         is raised before anything runs.  A clean plan then runs op by op
         exactly as :meth:`apply` runs one op -- admissibility,
-        propagation, cautions, one log entry each -- and the schema is
-        validated once, after the last op.
+        propagation, cautions, one log entry each; the next read of
+        :attr:`issues` validates the whole plan in one pass.
 
         Returns one :class:`LogEntry` per op.  If any op fails
         dynamically mid-plan, everything applied so far is undone and
@@ -216,9 +214,9 @@ class Workspace:
         against the schema that step applies to, then the requested
         operation's own cautions, judged before any cascade ran, then
         one ``cascaded`` info per cascaded step.  On success the entries
-        are logged, the redo stack is cleared and the schema validated
-        once; on any exception every applied step is undone and the
-        error re-raised with the history and :attr:`issues` untouched.
+        are logged and the redo stack is cleared; on any exception every
+        applied step is undone and the error re-raised with the history
+        and :attr:`issues` untouched.
         """
         entries: list[LogEntry] = []
         try:
@@ -265,7 +263,6 @@ class Workspace:
         if entries:  # an empty plan changes nothing and keeps the redo stack
             self.log.extend(entries)
             self._redo_stack.clear()
-            self._refresh_issues()
         return entries
 
     def preview(self, plan: list[SchemaOperation], concept=None):
@@ -326,7 +323,6 @@ class Workspace:
         for undo in reversed(entry.undos):
             undo()
         self._redo_stack.append(entry)
-        self._refresh_issues()
         return entry
 
     def redo(self) -> LogEntry | None:
@@ -342,7 +338,6 @@ class Workspace:
             return None
         fresh = self._replay(self._redo_stack[-1])
         self._redo_stack.pop()
-        self._refresh_issues()
         return fresh
 
     def _replay(self, entry: LogEntry) -> LogEntry:
@@ -388,6 +383,7 @@ class Workspace:
             log=self.schema.log,
             seq=self.schema.log.seq,
             depth=self.undo_depth,
+            plan=self.log[-1].plan if self.log else None,
         )
 
     def _check_snapshot(self, snapshot: WorkspaceSnapshot) -> None:
@@ -396,11 +392,14 @@ class Workspace:
                 "snapshot belongs to a different workspace state "
                 "(taken before a reset, or on another workspace)"
             )
-        if snapshot.depth > self.undo_depth:
+        depth = snapshot.depth
+        if depth > self.undo_depth or (
+            depth and self.log[depth - 1].plan is not snapshot.plan
+        ):
             raise ValueError(
-                f"snapshot depth {snapshot.depth} is ahead of the "
-                f"current history ({self.undo_depth} steps); the steps "
-                "it bookmarked were undone and overwritten"
+                f"snapshot at depth {depth} no longer matches the current "
+                f"history ({self.undo_depth} steps); the steps it "
+                "bookmarked were undone and overwritten"
             )
 
     def undo_to(self, snapshot: WorkspaceSnapshot) -> int:
@@ -432,9 +431,8 @@ class Workspace:
         and its mutation log records the lineage, so record-level
         diffing of the two branches stays cheap.  The fork starts with
         an empty undo history -- its log entries' undo closures would
-        otherwise be bound to this workspace's objects -- and inherits
-        the current issue list without revalidating (its first
-        validation after a mutation is a full rebuild).
+        otherwise be bound to this workspace's objects -- and the fork's
+        first read of :attr:`issues` is a full validation.
 
         With ``at`` (a snapshot of this workspace), the fork replays the
         bookmarked plan prefix onto a fresh CoW fork of the reference,
@@ -478,8 +476,6 @@ class Workspace:
         branch.context = OperationContext(reference=self.reference)
         branch.log = []
         branch._redo_stack = []
-        branch.validate_each_step = self.validate_each_step
-        branch.issues = list(self.issues)
         branch._analysis_memo = None
         return branch
 
@@ -487,14 +483,9 @@ class Workspace:
         self, name: str | None, at: WorkspaceSnapshot
     ) -> "Workspace":
         """The normal ``fork(at=...)`` path: replay the op-log prefix."""
-        branch = Workspace(
-            self.reference,
-            name or f"{self.schema.name}_fork",
-            validate_each_step=self.validate_each_step,
-        )
+        branch = Workspace(self.reference, name or f"{self.schema.name}_fork")
         for entry in self.log[: at.depth]:
             branch._replay(entry)
-        branch._refresh_issues()
         return branch
 
     def _fork_by_rewind(
@@ -526,7 +517,6 @@ class Workspace:
         self.schema = self.reference.fork(self.schema.name)
         self.log.clear()
         self._redo_stack.clear()
-        self._refresh_issues()
 
     def applied_operations(self) -> list[SchemaOperation]:
         """Every plan step applied so far, in order."""

@@ -1037,13 +1037,13 @@ def _check_plan_analyzer(workspace):
         )
     if analysis.diagnostics:
         return
-    naive = Workspace(schema, "plan_naive", validate_each_step=False)
+    naive = Workspace(schema, "plan_naive")
     try:
         naive_entries = [naive.apply(operation) for operation in plan]
     except (OperationError, SchemaError) as error:
         yield f"pre-flight-clean generated plan failed to apply: {error}"
         return
-    whole = Workspace(schema, "plan_whole", validate_each_step=False)
+    whole = Workspace(schema, "plan_whole")
     entries = whole.apply_plan(plan)
     if schema_fingerprint(naive.schema) != schema_fingerprint(whole.schema):
         yield "apply_plan diverged from naive per-op application"
@@ -1058,7 +1058,7 @@ def _check_plan_analyzer(workspace):
     perturbed = list(plan)
     del perturbed[seed % len(plan)]
     verdict = analyze_plan(perturbed, schema)
-    replay = Workspace(schema, "plan_perturbed", validate_each_step=False)
+    replay = Workspace(schema, "plan_perturbed")
     failed: set[int] = set()
     for index, operation in enumerate(perturbed):
         try:
@@ -1094,6 +1094,7 @@ def _check_fork_rewind(workspace):
         log=workspace.schema.log,
         seq=workspace.schema.log.seq,
         depth=depth,
+        plan=workspace.log[depth - 1].plan if depth else None,
     )
     before = schema_fingerprint(workspace.schema)
     redo_before = workspace.redo_depth
@@ -1179,8 +1180,7 @@ def _check_example_preservation(workspace):
         for pair in significant_examples(schema, interfaces=sample)
         if {obj.type_name for obj in pair.witness} <= untouched
     ][:4]
-    scratch = Workspace(schema, "example_preservation",
-                        validate_each_step=False)
+    scratch = Workspace(schema, "example_preservation")
     try:
         scratch.apply_plan(plan)
     except (OperationError, SchemaError):

@@ -2,11 +2,12 @@
 
 The paper's designer re-validates after every modification operation
 (Section 3, Figure 1).  ``SchemaRepository.apply`` plus that validation
-must therefore visit only what the edit changed: no whole-schema walk
-(``Schema.type_names``, ``Schema.__iter__`` -- which every ``scan_*``
-reference and every index (re)build goes through) may run on the edit
-path.  Counting the interfaces those walks visit on generated schemas of
-two sizes guards that without a timing assertion, in the style of
+(a read of ``Workspace.issues``) must therefore visit only what the edit
+changed: no whole-schema walk (``Schema.type_names``,
+``Schema.__iter__`` -- which every ``scan_*`` reference and every index
+(re)build goes through) may run on the edit path.  Counting the
+interfaces those walks visit on generated schemas of two sizes guards
+that without a timing assertion, in the style of
 ``tests/test_decompose.py::TestDecomposeIsLinear``.
 """
 
@@ -105,9 +106,12 @@ class TestApplyIsOChanged:
                 return _original(self)
 
             monkeypatch.setattr(Schema, method, counting)
-        entries = [repository.apply(op) for op in _fixed_ops()]
-        monkeypatch.undo()
         workspace = repository.workspace
+        entries = []
+        for op in _fixed_ops():
+            entries.append(repository.apply(op))
+            workspace.issues  # the designer's per-edit validation
+        monkeypatch.undo()
         assert len(entries) == len(_fixed_ops())
         assert len(entries[-1].plan) > 1  # the deletion cascaded
         assert workspace.issues == validate_schema(workspace.schema)

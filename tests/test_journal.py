@@ -80,32 +80,43 @@ def _unreferenced_middle_type(schema) -> str:
     raise AssertionError("no unreferenced type past the middle")
 
 
+@pytest.mark.parametrize("cadence", ["every-step", "after-each-sweep"])
 @pytest.mark.parametrize("seed", [3, 8])
-def test_history_keeps_issues_diff_and_replay_exact(seed):
+def test_history_keeps_issues_diff_and_replay_exact(seed, cadence):
+    """Issues read after every step, or only after applying all, undoing
+    all and redoing all -- then one read folds a whole sweep of 150
+    steps, type deletions and their positioned re-inserts included."""
     reference = _generated(200, seed)
     operations = generate_operations(reference, STREAM, seed=seed)
     assert any(isinstance(op, DeleteTypeDefinition) for op in operations)
     workspace = Workspace(reference)
+    every_step = cadence == "every-step"
+
+    def check_issues(where: str) -> None:
+        assert workspace.issues == validate_schema(workspace.schema), where
+
+    check_issues("fresh workspace")
     snapshot = None
     for index, operation in enumerate(operations):
         workspace.apply(operation)
-        assert workspace.issues == validate_schema(workspace.schema), (
-            f"apply #{index}: {operation.to_text()}"
-        )
+        if every_step:
+            check_issues(f"apply #{index}: {operation.to_text()}")
         if index == STREAM // 2:
             snapshot = workspace.snapshot()
+    check_issues("after applying all")
     while workspace.undo_last() is not None:
-        assert workspace.issues == validate_schema(workspace.schema), (
-            f"undo at depth {workspace.undo_depth}"
-        )
+        if every_step:
+            check_issues(f"undo at depth {workspace.undo_depth}")
+    check_issues("after undoing all")
     assert schema_fingerprint(workspace.schema) == schema_fingerprint(
         reference
     )
     while workspace.redo() is not None:
-        assert workspace.issues == validate_schema(workspace.schema), (
-            f"redo at depth {workspace.undo_depth}"
-        )
+        if every_step:
+            check_issues(f"redo at depth {workspace.undo_depth}")
     _assert_journal_sound(workspace, "after apply, undo all, redo all")
+    # One full build at the first read; every later read folded its edits.
+    assert workspace.schema.stats()["validation.full"] == 1
 
     # A plan whose last op fails dynamically rolls back a cascading
     # type deletion (and its positioned re-insert) plus an add.

@@ -74,7 +74,7 @@ def test_rejected_plan_is_reported_identically_and_atomically(seed, style):
     assume(plan)
     assume(analyze_plan(plan, schema).diagnostics)
 
-    workspace = Workspace(schema, "rejected", validate_each_step=False)
+    workspace = Workspace(schema, "rejected")
     before = schema_fingerprint(schema)
 
     with pytest.raises(PlanPreflightError) as error:
@@ -101,7 +101,7 @@ def test_diagnostics_reproduce_as_dynamic_failures(seed, style):
     verdict = analyze_plan(plan, schema)
     assume(verdict.diagnostics)
 
-    replay = Workspace(schema, "replay", validate_each_step=False)
+    replay = Workspace(schema, "replay")
     failed: set[int] = set()
     for index, operation in enumerate(plan):
         try:
@@ -122,7 +122,7 @@ def test_repeated_rejection_is_stable(seed):
     schema, plan = _rejected_plan(seed, 1)
     assume(plan)
     assume(analyze_plan(plan, schema).diagnostics)
-    workspace = Workspace(schema, "memo", validate_each_step=False)
+    workspace = Workspace(schema, "memo")
     outcomes = []
     for _ in range(2):
         with pytest.raises(PlanPreflightError) as error:

@@ -131,6 +131,28 @@ class TestDeliverables:
         assert "dob" in custom.get("Person").attributes
         assert repository.custom_schema is custom
 
+    @pytest.mark.parametrize("name", [None, "tailored"])
+    def test_custom_schema_gate_rejects_structural_errors(
+        self, repository, name
+    ):
+        """The gate reads the workspace's issues: an error-severity issue
+        raises the reference scan's error, naming the custom schema, and
+        leaves no custom schema behind."""
+        from repro.model.validation import validate_schema
+
+        workspace = repository.workspace
+        workspace.schema.get("Person").add_supertype("Ghost")  # dangling
+        with pytest.raises(ValidationError) as expected:
+            validate_schema(
+                workspace.schema.fork(name or workspace.schema.name),
+                raise_on_error=True,
+            )
+        with pytest.raises(ValidationError) as raised:
+            repository.generate_custom_schema(name)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.issues == expected.value.issues
+        assert repository.custom_schema is None
+
     def test_custom_schema_is_frozen_copy(self, repository):
         custom = repository.generate_custom_schema()
         repository.apply(parse_operation("add_attribute(Person, date, dob)"))

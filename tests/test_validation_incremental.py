@@ -66,8 +66,10 @@ class TestWorkspaceLoop:
     def test_stream_runs_incrementally_not_by_rebuilds(self):
         reference = generate_schema(WorkloadSpec(types=24, seed=5))
         workspace = Workspace(reference)
+        workspace.issues
         for operation in generate_operations(reference, 30, seed=9):
             workspace.apply(operation)
+            workspace.issues
         stats = workspace.schema.stats()
         # one initial build, then dirty-set passes only
         assert stats["validation.full"] == 1
@@ -345,11 +347,44 @@ class TestFallbacksAndApi:
         stats = small.validation.stats()
         assert stats["interfaces_revalidated"] == 0
 
-    def test_validate_each_step_off_skips_refresh(self, small):
-        workspace = Workspace(small, validate_each_step=False)
-        assert workspace.issues == []
+    def test_workspace_validates_only_when_issues_are_read(self, small):
+        """No workspace step validates; reading ``issues`` validates once,
+        folding every edit since the previous read."""
+
+        def counts(workspace):
+            stats = workspace.schema.stats()
+            return stats["validation.full"], stats["validation.incremental"]
+
+        workspace = Workspace(small)
+        assert counts(workspace) == (0, 0)
+        assert workspace.issues == validate_schema(workspace.schema)
+        assert counts(workspace) == (1, 0)
+        snap = workspace.snapshot()
         workspace.apply(AddAttribute("Person", scalar("date"), "dob"))
-        assert workspace.issues == []
+        assert counts(workspace) == (1, 0)
+        workspace.apply(AddSupertype("Department", "Person"))
+        assert counts(workspace) == (1, 0)
+        workspace.undo_last()
+        assert counts(workspace) == (1, 0)
+        workspace.redo()
+        assert counts(workspace) == (1, 0)
+        branch = workspace.fork("branch")
+        replayed = workspace.fork("replayed", at=snap)
+        assert counts(workspace) == (1, 0)
+        assert counts(branch) == (0, 0)
+        assert counts(replayed) == (0, 0)
+        assert workspace.issues == validate_schema(workspace.schema)
+        assert counts(workspace) == (1, 1)
+        assert workspace.issues == validate_schema(workspace.schema)
+        assert counts(workspace) == (1, 1)  # nothing changed: a clean hit
+        assert branch.issues == validate_schema(branch.schema)
+        assert counts(branch) == (1, 0)
+        assert replayed.issues == validate_schema(replayed.schema)
+        assert counts(replayed) == (1, 0)
+        workspace.reset()
+        assert counts(workspace) == (0, 0)
+        assert workspace.issues == validate_schema(workspace.schema)
+        assert counts(workspace) == (1, 0)
 
 
 class TestEdgeCountAccessors:

@@ -65,6 +65,36 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             workspace.undo_to(snap)
 
+    def test_snapshot_of_an_overwritten_step_rejected(self, workspace):
+        """Undone and overwritten at the same depth: the history is as
+        deep as the snapshot, but its last step is not the bookmarked
+        one."""
+        workspace.apply(AddTypeDefinition("A"))
+        workspace.apply(AddAttribute("A", scalar("long"), "x"))
+        snap = workspace.snapshot()
+        workspace.undo_last()
+        workspace.apply(AddAttribute("A", scalar("long"), "y"))
+        with pytest.raises(ValueError, match="undone and overwritten"):
+            workspace.undo_to(snap)
+        with pytest.raises(ValueError, match="undone and overwritten"):
+            workspace.fork("branch", at=snap)
+        assert workspace.undo_depth == 2
+        assert "y" in workspace.schema.get("A").attributes
+
+    def test_snapshot_survives_an_undo_redo_round_trip(self, workspace):
+        workspace.apply(AddTypeDefinition("A"))
+        workspace.apply(AddAttribute("A", scalar("long"), "x"))
+        snap = workspace.snapshot()
+        workspace.undo_last()
+        workspace.undo_last()
+        workspace.redo()
+        workspace.redo()
+        workspace.apply(AddAttribute("A", scalar("long"), "y"))
+        branch = workspace.fork("branch", at=snap)
+        assert set(branch.schema.get("A").attributes) == {"x"}
+        assert workspace.undo_to(snap) == 1
+        assert set(workspace.schema.get("A").attributes) == {"x"}
+
     def test_foreign_snapshot_rejected(self, workspace, small):
         other = Workspace(small, name="other")
         with pytest.raises(ValueError):
